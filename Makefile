@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build build-cmds vet lint test test-short test-race fleet-e2e check bench bench-core bench-trace bench-json bench-diff controller-equivalence trace-smoke series-smoke experiments serve fuzz fuzz-smoke clean
+.PHONY: all build build-cmds vet lint test test-short test-race fleet-e2e claim-stress check bench bench-core bench-trace bench-json bench-diff controller-equivalence trace-smoke series-smoke experiments serve fuzz fuzz-smoke clean
 
 all: build vet test
 
@@ -41,10 +41,18 @@ test-race:
 fleet-e2e:
 	go test -race -count=1 -run 'TestFleetTwoWorkers|TestSweepEndToEnd' ./internal/service
 
+# The fleet claim protocol under stress: the claim race tests 500 times
+# under the race detector (about 10 s). Exactly one racer may acquire a
+# claim, every time — an intermittent double acquisition is the bug this
+# target exists to catch.
+claim-stress:
+	go test -race -count=500 -run TestClaimRace ./internal/store
+
 # What CI runs: a full build, vet, the race-enabled test suite (the
 # progress sinks cross goroutine boundaries, so -race is load-bearing),
-# the uncached fleet/sweep e2e smoke, and the interval-timeseries smoke.
-check: build vet test-race fleet-e2e series-smoke
+# the uncached fleet/sweep e2e smoke, the claim stress and the
+# interval-timeseries smoke.
+check: build vet test-race fleet-e2e claim-stress series-smoke
 
 # One benchmark per paper table/figure (see bench_test.go).
 bench:

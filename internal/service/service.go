@@ -163,6 +163,7 @@ type Job struct {
 	subs        map[int]chan sim.Snapshot
 	nextSub     int
 	done        chan struct{}
+	doneOnce    sync.Once
 
 	// trace, when non-nil, collects the run's FDP decision events (the
 	// job was submitted with WithDecisionTrace). traceJSONL is the
@@ -191,8 +192,14 @@ type Job struct {
 // ID returns the job's identifier.
 func (j *Job) ID() string { return j.id }
 
-// Done returns a channel closed when the job reaches a terminal state.
+// Done returns a channel closed when the job has reached a terminal
+// state and its root span and provenance entry are recorded.
 func (j *Job) Done() <-chan struct{} { return j.done }
+
+// signalDone closes Done. Callers run it after finishLocked and after
+// writing the job's root span and provenance entry, so a waiter woken by
+// Done sees the job's whole record.
+func (j *Job) signalDone() { j.doneOnce.Do(func() { close(j.done) }) }
 
 // Trace returns the job's rendered JSONL decision trace. ok is false when
 // the job was not submitted with tracing, has not reached a terminal
@@ -310,7 +317,8 @@ func (j *Job) unsubscribe(id int) {
 	j.mu.Unlock()
 }
 
-// finishLocked moves the job to a terminal state. Caller holds j.mu.
+// finishLocked moves the job to a terminal state. Caller holds j.mu and
+// calls signalDone once the job's record is complete.
 func (j *Job) finishLocked(state JobState, res *sim.Result, errMsg string) {
 	if j.state.Terminal() {
 		return
@@ -319,7 +327,6 @@ func (j *Job) finishLocked(state JobState, res *sim.Result, errMsg string) {
 	j.result = res
 	j.errMsg = errMsg
 	j.finishedAt = time.Now()
-	close(j.done)
 }
 
 // Server owns the job table, the worker pool and the result cache.
@@ -625,6 +632,7 @@ func (s *Server) Submit(cfg sim.Config, opts ...SubmitOption) (*Job, error) {
 			Name: "job", Start: submitted, End: finished,
 			Attrs: map[string]string{"outcome": "cache_hit", "tenant": job.tenant}})
 		s.writeProvenance(job, store.OutcomeCacheHit, "", -1, false, 0, 0, 0)
+		job.signalDone()
 		s.log.Info("job done", "job", job.id, "cache_hit", true, "trace", trace != nil)
 		return job, nil
 	}
@@ -659,6 +667,7 @@ func (s *Server) dropJob(job *Job, cause error) {
 	job.mu.Lock()
 	job.finishLocked(StateFailed, nil, cause.Error())
 	job.mu.Unlock()
+	job.signalDone()
 }
 
 // Cancel stops a job: a queued job is finalized in place, a running one
@@ -682,6 +691,9 @@ func (s *Server) Cancel(id string) (*Job, error) {
 		job.cancel(errors.New("cancelled by client"))
 	}
 	job.mu.Unlock()
+	if state == StateQueued {
+		job.signalDone()
+	}
 	s.log.Info("job cancel requested", "job", job.id, "state", string(state))
 	return job, nil
 }
@@ -714,6 +726,7 @@ func (s *Server) runJob(job *Job) {
 	if s.baseCtx.Err() != nil { // shutdown won the race: never start
 		job.finishLocked(StateCancelled, nil, "server shutting down")
 		job.mu.Unlock()
+		job.signalDone()
 		s.m.cancelled.Add(1)
 		return
 	}
@@ -773,6 +786,7 @@ func (s *Server) runJob(job *Job) {
 				Name: "job", Start: submitted, End: finished,
 				Attrs: map[string]string{"outcome": "adopted", "tenant": job.tenant}})
 			s.writeProvenance(job, store.OutcomeAdopted, "", -1, false, wait, 0, 0)
+			job.signalDone()
 			s.log.Info("job finished", "job", job.id, "state", "done", "fleet_adopted", true)
 			return
 		}
@@ -946,6 +960,7 @@ func (s *Server) runJob(job *Job) {
 		outcome, errMsg = store.OutcomeFailed, err.Error()
 	}
 	s.writeProvenance(job, outcome, errMsg, claimGen, claimStolen, wait, runDur, storeDur)
+	job.signalDone()
 
 	attrs := []any{"job", job.id, "state", string(state),
 		"duration", time.Since(started), "intervals", res.Intervals}

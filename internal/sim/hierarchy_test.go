@@ -12,9 +12,9 @@ import (
 // registers itself as the hierarchy's client, tracking load completions by
 // sequence number.
 type rig struct {
+	e    *engine
 	h    *hierarchy
 	ctr  *stats.Counters
-	cyc  uint64
 	id   int32
 	seq  uint64
 	done map[uint64]*bool
@@ -26,8 +26,9 @@ func newRig(mutate func(*Config)) *rig {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	ctr := &stats.Counters{}
-	r := &rig{h: newHierarchy(&cfg, ctr), ctr: ctr, done: map[uint64]*bool{}}
+	e := newEngine(cfg.DRAM, true, 0)
+	n := e.addNode(&cfg)
+	r := &rig{e: e, h: n.h, ctr: &n.ctr, done: map[uint64]*bool{}}
 	r.id = r.h.addClient(r)
 	return r
 }
@@ -45,8 +46,7 @@ func (r *rig) CompleteFetch() {}
 // step advances n cycles.
 func (r *rig) step(n int) {
 	for i := 0; i < n; i++ {
-		r.cyc++
-		r.h.Tick(r.cyc)
+		r.e.step()
 	}
 }
 

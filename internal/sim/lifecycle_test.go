@@ -17,52 +17,134 @@ func fdpCfg(w string) Config {
 	return cfg
 }
 
-func TestRunContextCancelWithinOneInterval(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+// lifecycleOutcome is a run's result, reduced to what the lifecycle
+// contracts compare across run modes.
+type lifecycleOutcome struct {
+	// final holds the result's values the Final snapshot must match.
+	// SMTResult carries no interval count, so the SMT mode leaves
+	// final.Interval zero and the interval comparison is skipped.
+	final   Snapshot
+	partial bool
+	slowest uint64 // post-warmup retired count of the slowest lane
+}
 
-	cfg := fdpCfg("chaserand")
-	var cancelAt Snapshot
-	cfg.Progress = func(s Snapshot) {
-		if s.Final || cancelAt.Interval != 0 {
-			return
+// lifecycleModes runs one config in every mode. Core 0 of the two-core
+// run (the other core runs seqstream without sinks) and the shared
+// hierarchy of the two-thread SMT run carry cfg's progress sink and
+// tracer.
+var lifecycleModes = []struct {
+	name string
+	run  func(ctx context.Context, cfg Config) (lifecycleOutcome, error)
+}{
+	{"single", func(ctx context.Context, cfg Config) (lifecycleOutcome, error) {
+		res, err := RunContext(ctx, cfg)
+		return lifecycleOutcome{
+			final: Snapshot{Cycle: res.Counters.Cycles, Retired: res.Counters.Retired, Target: cfg.MaxInsts,
+				IPC: res.IPC, Interval: res.Intervals, Level: res.FinalLevel},
+			partial: res.Partial,
+			slowest: res.Counters.Retired,
+		}, err
+	}},
+	{"multi", func(ctx context.Context, cfg Config) (lifecycleOutcome, error) {
+		other := cfg
+		other.Workload, other.Progress, other.Tracer = "seqstream", nil, nil
+		res, err := RunMultiContext(ctx, MultiConfig{Cores: []Config{cfg, other}})
+		if len(res.Cores) == 0 {
+			return lifecycleOutcome{}, err
 		}
-		cancelAt = s
-		cancel()
-	}
+		c := res.Cores[0]
+		out := lifecycleOutcome{
+			final: Snapshot{Cycle: c.Counters.Cycles, Retired: c.Counters.Retired, Target: cfg.MaxInsts,
+				IPC: c.IPC, Interval: c.Intervals, Level: c.FinalLevel},
+			partial: res.Partial,
+			slowest: min(c.Counters.Retired, res.Cores[1].Counters.Retired),
+		}
+		return out, err
+	}},
+	{"smt", func(ctx context.Context, cfg Config) (lifecycleOutcome, error) {
+		res, err := RunSMTContext(ctx, SMTConfig{Base: cfg, Workloads: []string{cfg.Workload, "seqstream"}})
+		if len(res.Threads) == 0 {
+			return lifecycleOutcome{}, err
+		}
+		return lifecycleOutcome{
+			final: Snapshot{Cycle: res.Counters.Cycles, Retired: res.Counters.Retired, Target: 2 * cfg.MaxInsts,
+				IPC: res.Counters.IPC(), Level: res.FinalLevel},
+			partial: res.Partial,
+			slowest: min(res.Threads[0].Retired, res.Threads[1].Retired),
+		}, err
+	}},
+}
 
-	res, err := RunContext(ctx, cfg)
-	if err == nil {
-		t.Fatal("cancelled run returned nil error")
+func TestRunContextCancelWithinOneInterval(t *testing.T) {
+	type row struct {
+		mode   int
+		name   string
+		warmup uint64
 	}
-	if !errors.Is(err, ErrCancelled) {
-		t.Errorf("error %v does not match ErrCancelled", err)
+	var rows []row
+	for i, m := range lifecycleModes {
+		rows = append(rows, row{i, m.name, 0})
 	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("error %v does not match context.Canceled", err)
-	}
-	var ce *CancelError
-	if !errors.As(err, &ce) {
-		t.Fatalf("error %v is not a *CancelError", err)
-	}
-	if !res.Partial {
-		t.Error("cancelled run not marked Partial")
-	}
-	if res.Counters.Retired >= cfg.MaxInsts {
-		t.Errorf("retired %d reached the %d target despite cancellation", res.Counters.Retired, cfg.MaxInsts)
-	}
-	if ce.Retired != res.Counters.Retired || ce.Target != cfg.MaxInsts {
-		t.Errorf("CancelError{Retired: %d, Target: %d} disagrees with Result (retired %d, target %d)",
-			ce.Retired, ce.Target, res.Counters.Retired, cfg.MaxInsts)
-	}
-	if cancelAt.Interval == 0 {
-		t.Fatal("progress sink never ran")
-	}
-	// The cancel fired inside the sink for interval cancelAt.Interval, so
-	// the run must stop before another full sampling interval elapses.
-	if res.Intervals > cancelAt.Interval+1 {
-		t.Errorf("run continued for %d intervals after cancelling at interval %d",
-			res.Intervals-cancelAt.Interval, cancelAt.Interval)
+	// Warmup on: the CancelError must count post-warmup instructions only.
+	rows = append(rows, row{1, "multi/warmup", 100_000})
+	for _, tc := range rows {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+
+			cfg := fdpCfg("chaserand")
+			cfg.WarmupInsts = tc.warmup
+			var cancelAt, final Snapshot
+			cfg.Progress = func(s Snapshot) {
+				if s.Final {
+					final = s
+				}
+				// Cancel at the first post-warmup boundary.
+				if s.Final || cancelAt.Interval != 0 || s.Retired == 0 {
+					return
+				}
+				cancelAt = s
+				cancel()
+			}
+
+			out, err := lifecycleModes[tc.mode].run(ctx, cfg)
+			if err == nil {
+				t.Fatal("cancelled run returned nil error")
+			}
+			if !errors.Is(err, ErrCancelled) {
+				t.Errorf("error %v does not match ErrCancelled", err)
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("error %v does not match context.Canceled", err)
+			}
+			var ce *CancelError
+			if !errors.As(err, &ce) {
+				t.Fatalf("error %v is not a *CancelError", err)
+			}
+			if !out.partial {
+				t.Error("cancelled run not marked Partial")
+			}
+			if out.final.Retired >= cfg.MaxInsts {
+				t.Errorf("retired %d reached the %d target despite cancellation", out.final.Retired, cfg.MaxInsts)
+			}
+			if ce.Retired != out.slowest || ce.Target != cfg.MaxInsts {
+				t.Errorf("CancelError{Retired: %d, Target: %d} disagrees with the result (slowest lane retired %d, target %d)",
+					ce.Retired, ce.Target, out.slowest, cfg.MaxInsts)
+			}
+			if cancelAt.Interval == 0 {
+				t.Fatal("progress sink never saw a post-warmup boundary")
+			}
+			if !final.Final {
+				t.Fatal("cancelled run sent no Final snapshot")
+			}
+			// The cancel fired inside the sink for interval cancelAt.Interval,
+			// so the run must stop before another full sampling interval
+			// elapses.
+			if final.Interval > cancelAt.Interval+1 {
+				t.Errorf("run continued for %d intervals after cancelling at interval %d",
+					final.Interval-cancelAt.Interval, cancelAt.Interval)
+			}
+		})
 	}
 }
 
@@ -97,51 +179,74 @@ func TestRunContextDeadline(t *testing.T) {
 }
 
 func TestProgressSnapshotsMonotonicAndFinalMatchesResult(t *testing.T) {
-	cfg := fdpCfg("mixedphase")
-	cfg.MaxInsts = 200_000
-	var snaps []Snapshot
-	cfg.Progress = func(s Snapshot) { snaps = append(snaps, s) }
+	for _, mode := range lifecycleModes {
+		t.Run(mode.name, func(t *testing.T) {
+			cfg := fdpCfg("mixedphase")
+			cfg.MaxInsts = 200_000
+			cfg.L2Blocks = 1024 // small L2 so useful evictions (and intervals) come fast
+			var snaps []Snapshot
+			cfg.Progress = func(s Snapshot) { snaps = append(snaps, s) }
+			tr := &collectTracer{}
+			cfg.Tracer = tr
 
-	res, err := RunContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) == 0 {
-		t.Fatal("no progress snapshots for an FDP run")
-	}
-	var prev Snapshot
-	for i, s := range snaps[:len(snaps)-1] {
-		if s.Final {
-			t.Fatalf("snapshot %d marked Final before the end of the run", i)
-		}
-		if s.Retired < prev.Retired || s.Cycle < prev.Cycle {
-			t.Errorf("snapshot %d went backwards: retired %d->%d, cycle %d->%d",
-				i, prev.Retired, s.Retired, prev.Cycle, s.Cycle)
-		}
-		if s.Interval != prev.Interval+1 {
-			t.Errorf("snapshot %d: interval %d after %d", i, s.Interval, prev.Interval)
-		}
-		if s.Target != cfg.MaxInsts {
-			t.Errorf("snapshot %d: target %d, want %d", i, s.Target, cfg.MaxInsts)
-		}
-		prev = s
-	}
-	last := snaps[len(snaps)-1]
-	if !last.Final {
-		t.Fatal("last snapshot not marked Final")
-	}
-	if last.Retired != res.Counters.Retired || last.Cycle != res.Counters.Cycles {
-		t.Errorf("final snapshot retired=%d cycle=%d, result retired=%d cycles=%d",
-			last.Retired, last.Cycle, res.Counters.Retired, res.Counters.Cycles)
-	}
-	if last.IPC != res.IPC {
-		t.Errorf("final snapshot IPC %v != result IPC %v", last.IPC, res.IPC)
-	}
-	if last.Interval != res.Intervals {
-		t.Errorf("final snapshot interval %d != result intervals %d", last.Interval, res.Intervals)
-	}
-	if res.Partial {
-		t.Error("completed run marked Partial")
+			out, err := mode.run(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(snaps) < 2 {
+				t.Fatalf("%d progress snapshots, want interval snapshots and a Final one", len(snaps))
+			}
+			var prev Snapshot
+			for i, s := range snaps[:len(snaps)-1] {
+				if s.Final {
+					t.Fatalf("snapshot %d marked Final before the end of the run", i)
+				}
+				if s.Retired < prev.Retired || s.Cycle < prev.Cycle {
+					t.Errorf("snapshot %d went backwards: retired %d->%d, cycle %d->%d",
+						i, prev.Retired, s.Retired, prev.Cycle, s.Cycle)
+				}
+				if s.Interval != prev.Interval+1 {
+					t.Errorf("snapshot %d: interval %d after %d", i, s.Interval, prev.Interval)
+				}
+				if s.Target != out.final.Target {
+					t.Errorf("snapshot %d: target %d, want %d", i, s.Target, out.final.Target)
+				}
+				if s.Elapsed <= 0 {
+					t.Errorf("snapshot %d: no elapsed wall time", i)
+				}
+				prev = s
+			}
+			last := snaps[len(snaps)-1]
+			if !last.Final {
+				t.Fatal("last snapshot not marked Final")
+			}
+			want := out.final
+			if last.Retired != want.Retired || last.Cycle != want.Cycle {
+				t.Errorf("final snapshot retired=%d cycle=%d, result retired=%d cycles=%d",
+					last.Retired, last.Cycle, want.Retired, want.Cycle)
+			}
+			if last.IPC != want.IPC || last.Level != want.Level {
+				t.Errorf("final snapshot IPC %v level %d, result IPC %v level %d", last.IPC, last.Level, want.IPC, want.Level)
+			}
+			if want.Interval != 0 && last.Interval != want.Interval {
+				t.Errorf("final snapshot interval %d != result intervals %d", last.Interval, want.Interval)
+			}
+			if out.partial {
+				t.Error("completed run marked Partial")
+			}
+			// The decision trace carries the same post-warmup stamps.
+			if len(tr.events) != len(snaps)-1 {
+				t.Fatalf("%d decision events for %d interval snapshots", len(tr.events), len(snaps)-1)
+			}
+			for i, ev := range tr.events {
+				if ev.Retired == 0 || ev.Retired < tr.events[max(i-1, 0)].Retired {
+					t.Errorf("event %d: retired %d after %d", i, ev.Retired, tr.events[max(i-1, 0)].Retired)
+				}
+				if ev.Retired != snaps[i].Retired || ev.Cycle != snaps[i].Cycle {
+					t.Errorf("event %d stamped (%d, %d), snapshot (%d, %d)", i, ev.Retired, ev.Cycle, snaps[i].Retired, snaps[i].Cycle)
+				}
+			}
+		})
 	}
 }
 

@@ -2,13 +2,10 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
-	"fdpsim/internal/core"
 	"fdpsim/internal/cpu"
-	"fdpsim/internal/mem"
-	"fdpsim/internal/stats"
-	"fdpsim/internal/workload"
 )
 
 // MultiConfig describes a chip multiprocessor run: several cores, each
@@ -83,226 +80,35 @@ func RunMultiContext(ctx context.Context, mc MultiConfig) (MultiResult, error) {
 		}
 	}
 
-	dram := mem.New(mc.Cores[0].DRAM)
-	type coreState struct {
-		cfg    *Config
-		h      *hierarchy
-		cpu    *cpu.CPU
-		ctr    *stats.Counters
-		snap   stats.Counters // counters at the finish line
-		finish uint64
-		done   bool
-		// Warmup bookkeeping (statistics before the warmup target are
-		// discarded; microarchitectural state is kept).
-		warmed      bool
-		warmCycle   uint64
-		warmRetired uint64
-		warmLoads   uint64
-		warmStores  uint64
+	budget := uint64(50_000_000)
+	for i := range mc.Cores {
+		budget = max(budget, (mc.Cores[i].MaxInsts+mc.Cores[i].WarmupInsts)*1000)
 	}
-	var cycle uint64
-	cores := make([]*coreState, n)
+	e := newEngine(mc.Cores[0].DRAM, false, budget)
 	for i := range mc.Cores {
 		cfg := mc.Cores[i] // copy
-		var spaced cpu.Source
-		if mc.Sources != nil {
-			spaced = mc.Sources[i]
-		} else {
-			src, err := workload.New(cfg.Workload, cfg.Seed+uint64(i))
-			if err != nil {
-				return MultiResult{}, err
-			}
-			// Give each core a private address space so co-running workloads
-			// interact only through shared-resource contention.
-			spaced = &offsetSource{src: src, base: uint64(i) << 44}
+		src, err := laneSource(i, cfg.Workload, cfg.Seed, mc.Sources)
+		if err != nil {
+			return MultiResult{}, err
 		}
-		st := &coreState{cfg: &cfg, ctr: &stats.Counters{}}
-		st.h = newHierarchyShared(&cfg, st.ctr, dram, i)
-		st.cpu = st.h.attach(&cfg, spaced)
-		cores[i] = st
-		if progress, tracer := cfg.Progress, cfg.Tracer; progress != nil || tracer != nil {
-			st := st
-			coreID := i
-			st.h.fdp.OnInterval = func(rec core.IntervalRecord) {
-				var pcyc, pret uint64
-				if st.warmed {
-					pcyc = cycle - st.warmCycle
-					pret = st.cpu.Retired() - st.warmRetired
-				}
-				var sample stats.IntervalSample
-				if st.h.attr != nil && st.warmed {
-					sample = st.h.attrIntervalSample()
-				}
-				st.h.traceDecision(rec, pcyc, pret, sample)
-				if progress == nil {
-					return
-				}
-				s := Snapshot{
-					Core:      coreID,
-					Cycle:     pcyc,
-					Retired:   pret,
-					Target:    st.cfg.MaxInsts,
-					Interval:  st.h.fdp.Intervals(),
-					Accuracy:  rec.Accuracy,
-					Lateness:  rec.Lateness,
-					Pollution: rec.Pollution,
-					Case:      rec.Case,
-					Level:     rec.Level,
-					Insertion: rec.Insertion,
-					Sample:    sample,
-				}
-				if pcyc > 0 {
-					s.IPC = float64(pret) / float64(pcyc)
-				}
-				if pret > 0 {
-					s.BPKI = 1000 * float64(st.ctr.BusAccesses()) / float64(pret)
-				}
-				if st.h.pf != nil {
-					s.Level = st.h.pf.Level()
-				}
-				progress(s)
-			}
-		}
+		nd := e.addNode(&cfg)
+		// RunMulti ends warmup on the first cycle even with WarmupInsts ==
+		// 0, discarding that cycle's statistics; perfbench's pinned multi
+		// lane digest depends on it.
+		nd.warmed = false
+		e.addLane(nd, src)
 	}
-	// The shared bus dispatches start events to the owning core.
-	dram.OnStart = func(r *mem.Request) {
-		if r.Owner >= 0 && r.Owner < n {
-			cores[r.Owner].h.onBusStart(r)
-		}
+	err := e.run(ctx)
+	if err != nil && !errors.Is(err, ErrCancelled) {
+		return MultiResult{}, err
 	}
-
-	// freeze snapshots a core's statistics at the current cycle — at its
-	// finish line, or at the stop cycle on cancellation.
-	freeze := func(st *coreState) {
-		st.finish = cycle
-		st.snap = *st.ctr
-		st.snap.Cycles = cycle - st.warmCycle
-		st.snap.Retired = st.cpu.Retired() - st.warmRetired
-		st.snap.RetiredLoads = st.cpu.RetiredLoads() - st.warmLoads
-		st.snap.RetiredStores = st.cpu.RetiredStores() - st.warmStores
-		st.snap.Intervals = st.h.fdp.Intervals()
+	res := MultiResult{Cycles: e.cycle, Partial: err != nil}
+	for _, nd := range e.nodes {
+		// Cycle accounting and prefetch timeliness are per-core; the
+		// bus/queue/row telemetry inside reflects the shared DRAM, so
+		// every core reports the same chip-wide memory pressure.
+		res.Cores = append(res.Cores, CoreResult{Result: nd.result(), FinishCycle: nd.lanes[0].finish})
+		res.TotalBusAccesses += nd.ctr.BusAccesses()
 	}
-
-	collect := func(partial bool) MultiResult {
-		res := MultiResult{Cycles: cycle, Partial: partial}
-		for _, st := range cores {
-			ctr := st.snap
-			cr := CoreResult{
-				Result: Result{
-					Workload:   st.cfg.Workload,
-					Prefetcher: string(st.cfg.Prefetcher),
-					Level:      st.cfg.StaticLevel,
-					Counters:   ctr,
-					IPC:        ctr.IPC(),
-					BPKI:       ctr.BPKI(),
-					Accuracy:   ctr.Accuracy(),
-					Lateness:   ctr.Lateness(),
-					Pollution:  ctr.Pollution(),
-					LevelDist:  st.h.fdp.LevelDist,
-					InsertDist: st.h.fdp.InsertDist,
-					Intervals:  ctr.Intervals,
-					FinalLevel: st.h.fdp.Level(),
-					Partial:    !st.done,
-				},
-				FinishCycle: st.finish,
-			}
-			if st.h.pf != nil {
-				cr.FinalLevel = st.h.pf.Level()
-			}
-			// Cycle accounting and prefetch timeliness are per-core; the
-			// bus/queue/row telemetry inside reflects the shared DRAM, so
-			// every core reports the same chip-wide memory pressure.
-			cr.Attribution = st.h.attrFinalize()
-			res.Cores = append(res.Cores, cr)
-			res.TotalBusAccesses += st.ctr.BusAccesses()
-		}
-		return res
-	}
-
-	remaining := n
-	var lastProgress uint64
-	var lastRetiredSum uint64
-	maxCycles := uint64(0)
-	for _, st := range cores {
-		c := (st.cfg.MaxInsts + st.cfg.WarmupInsts) * 1000
-		if c > maxCycles {
-			maxCycles = c
-		}
-	}
-	if maxCycles < 50_000_000 {
-		maxCycles = 50_000_000
-	}
-
-	cancellable := ctx.Done() != nil
-	var retiredMax uint64
-	for remaining > 0 {
-		cycle++
-		dram.Tick(cycle)
-		var retiredSum uint64
-		for _, st := range cores {
-			st.h.Tick(cycle)
-			st.cpu.Tick()
-			retiredSum += st.cpu.Retired()
-			if !st.warmed && st.cpu.Retired() >= st.cfg.WarmupInsts {
-				st.warmed = true
-				st.warmCycle = cycle
-				st.warmRetired = st.cpu.Retired()
-				st.warmLoads = st.cpu.RetiredLoads()
-				st.warmStores = st.cpu.RetiredStores()
-				*st.ctr = stats.Counters{}
-				if st.h.attr != nil {
-					st.h.attrWarmupReset()
-				}
-			}
-			if !st.done && st.warmed && st.cpu.Retired() >= st.cfg.WarmupInsts+st.cfg.MaxInsts {
-				st.done = true
-				freeze(st)
-				remaining--
-			}
-		}
-		if cancellable && cycle&(cancelCheckStride-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				// Clean stop: halt every core's dispatch, drain in-flight
-				// instructions (bounded), then freeze the laggards.
-				for _, st := range cores {
-					st.cpu.Halt()
-				}
-				for extra := 0; extra < drainBudget; extra++ {
-					inFlight := 0
-					for _, st := range cores {
-						inFlight += st.cpu.InFlight()
-					}
-					if inFlight == 0 {
-						break
-					}
-					cycle++
-					dram.Tick(cycle)
-					for _, st := range cores {
-						st.h.Tick(cycle)
-						st.cpu.Tick()
-					}
-				}
-				for _, st := range cores {
-					if !st.done {
-						freeze(st)
-						if st.cpu.Retired() > retiredMax {
-							retiredMax = st.cpu.Retired()
-						}
-					}
-				}
-				return collect(true), &CancelError{Cause: err, Cycle: cycle, Retired: retiredMax, Target: mc.Cores[0].MaxInsts}
-			}
-		}
-		if retiredSum != lastRetiredSum {
-			lastRetiredSum = retiredSum
-			lastProgress = cycle
-		} else if cycle-lastProgress > 2_000_000 {
-			return MultiResult{}, fmt.Errorf("sim: multi-core run stalled at cycle %d", cycle)
-		}
-		if cycle > maxCycles {
-			return MultiResult{}, fmt.Errorf("sim: multi-core run exceeded cycle budget %d", maxCycles)
-		}
-	}
-
-	return collect(false), nil
+	return res, err
 }

@@ -2,7 +2,7 @@ package sim
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"time"
 
 	"fdpsim/internal/core"
@@ -58,16 +58,6 @@ type Result struct {
 	Controller string `json:",omitempty"`
 }
 
-// cancelCheckStride bounds cancellation latency for runs that close no
-// FDP sampling intervals (cache-resident loops evict nothing): the cycle
-// loop polls ctx at least this often. Must be a power of two.
-const cancelCheckStride = 4096
-
-// drainBudget bounds the extra cycles spent retiring in-flight
-// instructions after cancellation, so a wedged memory system cannot turn
-// a cancel into a hang.
-const drainBudget = 50_000
-
 // Run executes one simulation to completion.
 func Run(cfg Config) (Result, error) {
 	return RunContext(context.Background(), cfg)
@@ -105,188 +95,22 @@ func RunSourceContext(ctx context.Context, cfg Config, src cpu.Source) (Result, 
 	return runWith(ctx, cfg, src)
 }
 
+// runWith wires one hierarchy with one CPU in front of a private DRAM.
 func runWith(ctx context.Context, cfg Config, src cpu.Source) (Result, error) {
-	start := time.Now()
-	var ctr stats.Counters
-	h := newHierarchy(&cfg, &ctr)
-	h.fdp.KeepHistory = cfg.KeepFDPHistory
-	c := h.attach(&cfg, src)
-
-	maxCycles := cfg.MaxCycles
-	if maxCycles == 0 {
+	budget := cfg.MaxCycles
+	if budget == 0 {
 		// Generous default: even an IPC of 0.002 finishes.
-		maxCycles = (cfg.MaxInsts + cfg.WarmupInsts) * 500
-		if maxCycles < 10_000_000 {
-			maxCycles = 10_000_000
-		}
+		budget = max((cfg.MaxInsts+cfg.WarmupInsts)*500, 10_000_000)
 	}
-
-	var cycle uint64
-	lastRetired := uint64(0)
-	lastProgress := uint64(0)
-	var warmCycle, warmRetired, warmLoads, warmStores uint64
-	warmed := cfg.WarmupInsts == 0
-	target := cfg.WarmupInsts + cfg.MaxInsts
-
-	// Interval streaming: the FDP engine reports each closed sampling
-	// interval; the flag gates the cycle loop's cancellation poll so
-	// cancellation latency is bounded by one interval. The same boundary
-	// feeds the decision tracer and the progress sink; with neither
-	// configured the callback only sets the flag.
-	intervalClosed := false
-	h.fdp.OnInterval = func(rec core.IntervalRecord) {
-		intervalClosed = true
-		if cfg.Tracer == nil && cfg.Progress == nil {
-			return
-		}
-		var pcyc, pret uint64
-		if warmed {
-			pcyc = cycle - warmCycle
-			pret = c.Retired() - warmRetired
-		}
-		var sample stats.IntervalSample
-		if h.attr != nil && warmed {
-			sample = h.attrIntervalSample()
-		}
-		h.traceDecision(rec, pcyc, pret, sample)
-		if cfg.Progress == nil {
-			return
-		}
-		s := Snapshot{
-			Cycle:     pcyc,
-			Retired:   pret,
-			Target:    cfg.MaxInsts,
-			Interval:  h.fdp.Intervals(),
-			Accuracy:  rec.Accuracy,
-			Lateness:  rec.Lateness,
-			Pollution: rec.Pollution,
-			Case:      rec.Case,
-			Level:     rec.Level,
-			Insertion: rec.Insertion,
-			Elapsed:   time.Since(start),
-			Sample:    sample,
-		}
-		if pcyc > 0 {
-			s.IPC = float64(pret) / float64(pcyc)
-		}
-		if pret > 0 {
-			// Counters.Retired is only set at finalize; derive BPKI from
-			// the live bus counters and the post-warmup retire count.
-			s.BPKI = 1000 * float64(ctr.BusAccesses()) / float64(pret)
-		}
-		if h.pf != nil {
-			s.Level = h.pf.Level()
-		}
-		cfg.Progress(s)
+	e := newEngine(cfg.DRAM, true, budget)
+	n := e.addNode(&cfg)
+	l := e.addLane(n, src)
+	err := e.run(ctx)
+	if err != nil && !errors.Is(err, ErrCancelled) {
+		return Result{}, err
 	}
-
-	// finalize snapshots the counters at the current cycle, builds the
-	// Result and emits the Final progress snapshot. Shared by the normal
-	// completion path and the cancellation path.
-	finalize := func(partial bool) Result {
-		ctr.Cycles = cycle - warmCycle
-		ctr.Retired = c.Retired() - warmRetired
-		ctr.RetiredLoads = c.RetiredLoads() - warmLoads
-		ctr.RetiredStores = c.RetiredStores() - warmStores
-		ctr.StallFetch = c.StallFetch()
-		ctr.Intervals = h.fdp.Intervals()
-
-		res := Result{
-			Workload:   cfg.Workload,
-			Prefetcher: string(cfg.Prefetcher),
-			Level:      cfg.StaticLevel,
-			Counters:   ctr,
-			DRAM:       h.dram.Stats(),
-			IPC:        ctr.IPC(),
-			BPKI:       ctr.BPKI(),
-			Accuracy:   ctr.Accuracy(),
-			Lateness:   ctr.Lateness(),
-			Pollution:  ctr.Pollution(),
-			LevelDist:  h.fdp.LevelDist,
-			InsertDist: h.fdp.InsertDist,
-			Intervals:  h.fdp.Intervals(),
-			History:    h.fdp.History,
-			FinalLevel: h.fdp.Level(),
-			Partial:    partial,
-			Elapsed:    time.Since(start),
-			Controller: cfg.Controller,
-		}
-		res.Attribution = h.attrFinalize()
-		if h.pf != nil {
-			res.FinalLevel = h.pf.Level()
-		}
-		if cfg.Progress != nil {
-			acc, late, poll := h.fdp.Metrics()
-			cfg.Progress(Snapshot{
-				Cycle:     ctr.Cycles,
-				Retired:   ctr.Retired,
-				Target:    cfg.MaxInsts,
-				IPC:       res.IPC,
-				BPKI:      res.BPKI,
-				Interval:  res.Intervals,
-				Accuracy:  acc,
-				Lateness:  late,
-				Pollution: poll,
-				Level:     res.FinalLevel,
-				Insertion: h.fdp.Insertion(),
-				Elapsed:   res.Elapsed,
-				Final:     true,
-			})
-		}
-		return res
-	}
-
-	// cancelled performs the clean stop: dispatch halts, in-flight
-	// instructions drain to a retire boundary (bounded), and the partial
-	// result travels with the typed error.
-	cancelled := func(cause error) (Result, error) {
-		c.Halt()
-		for extra := 0; extra < drainBudget && c.InFlight() > 0; extra++ {
-			cycle++
-			h.Tick(cycle)
-			c.Tick()
-		}
-		res := finalize(true)
-		return res, &CancelError{Cause: cause, Cycle: cycle, Retired: res.Counters.Retired, Target: cfg.MaxInsts}
-	}
-
-	cancellable := ctx.Done() != nil
-	for c.Retired() < target {
-		cycle++
-		h.Tick(cycle)
-		c.Tick()
-		if !warmed && c.Retired() >= cfg.WarmupInsts {
-			// Discard warm-up statistics; keep all microarchitectural state.
-			warmed = true
-			warmCycle = cycle
-			warmRetired = c.Retired()
-			warmLoads = c.RetiredLoads()
-			warmStores = c.RetiredStores()
-			*h.ctr = stats.Counters{}
-			if h.attr != nil {
-				h.attrWarmupReset()
-			}
-		}
-		if intervalClosed || cycle&(cancelCheckStride-1) == 0 {
-			intervalClosed = false
-			if cancellable {
-				if err := ctx.Err(); err != nil {
-					return cancelled(err)
-				}
-			}
-		}
-		if r := c.Retired(); r != lastRetired {
-			lastRetired = r
-			lastProgress = cycle
-		} else if cycle-lastProgress > 2_000_000 {
-			return Result{}, fmt.Errorf("sim: no retirement progress for 2M cycles at cycle %d (workload %s, retired %d)",
-				cycle, src.Name(), c.Retired())
-		}
-		if cycle >= maxCycles {
-			return Result{}, fmt.Errorf("sim: exceeded cycle budget %d (workload %s, retired %d of %d)",
-				maxCycles, src.Name(), c.Retired(), cfg.MaxInsts)
-		}
-	}
-
-	return finalize(false), nil
+	res := n.result()
+	res.Counters.StallFetch = l.cpu.StallFetch()
+	res.DRAM = e.dram.Stats()
+	return res, err
 }

@@ -2,12 +2,11 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
-	"fdpsim/internal/core"
 	"fdpsim/internal/cpu"
 	"fdpsim/internal/stats"
-	"fdpsim/internal/workload"
 )
 
 // SMTConfig describes threads sharing one cache hierarchy — the "many
@@ -99,7 +98,8 @@ func RunSMT(cfg SMTConfig) (SMTResult, error) {
 // stop every thread at a retire boundary and return the partial SMTResult
 // together with a *CancelError. Base.Progress streams the shared FDP
 // engine's per-interval snapshots (whose feedback reflects the combined
-// access stream of all threads).
+// access stream of all threads); their Retired and Target sum over the
+// threads.
 func RunSMTContext(ctx context.Context, cfg SMTConfig) (SMTResult, error) {
 	if len(cfg.Workloads) == 0 {
 		return SMTResult{}, fmt.Errorf("%w: SMT run needs at least one thread", ErrInvalidConfig)
@@ -116,153 +116,39 @@ func RunSMTContext(ctx context.Context, cfg SMTConfig) (SMTResult, error) {
 		return SMTResult{}, fmt.Errorf("%w: WarmupInsts is not supported in SMT mode", ErrInvalidConfig)
 	}
 
-	var ctr stats.Counters
-	h := newHierarchy(&base, &ctr)
-	var cycle uint64
-	if progress, tracer := base.Progress, base.Tracer; progress != nil || tracer != nil {
-		h.fdp.OnInterval = func(rec core.IntervalRecord) {
-			var sample stats.IntervalSample
-			if h.attr != nil {
-				sample = h.attrIntervalSample()
-			}
-			h.traceDecision(rec, cycle, 0, sample)
-			if progress == nil {
-				return
-			}
-			s := Snapshot{
-				Cycle:     cycle,
-				Target:    base.MaxInsts,
-				Interval:  h.fdp.Intervals(),
-				Accuracy:  rec.Accuracy,
-				Lateness:  rec.Lateness,
-				Pollution: rec.Pollution,
-				Case:      rec.Case,
-				Level:     rec.Level,
-				Insertion: rec.Insertion,
-			}
-			if h.pf != nil {
-				s.Level = h.pf.Level()
-			}
-			progress(s)
-		}
-	}
-	type thread struct {
-		c      *cpu.CPU
-		finish uint64
-		done   bool
-	}
-	threads := make([]*thread, len(cfg.Workloads))
-	res := SMTResult{}
+	e := newEngine(base.DRAM, true, max(base.MaxInsts*2000, 50_000_000))
+	nd := e.addNode(&base)
 	for i, w := range cfg.Workloads {
-		var spaced cpu.Source
-		if cfg.Sources != nil {
-			spaced = cfg.Sources[i]
-		} else {
-			src, err := workload.New(w, base.Seed+uint64(i))
-			if err != nil {
-				return SMTResult{}, err
-			}
-			// Each thread runs in its own address space: offset both data and
-			// code addresses so co-running workloads contend for cache *space*
-			// rather than aliasing each other's lines.
-			spaced = &offsetSource{src: src, base: uint64(i) << 44}
+		src, err := laneSource(i, w, base.Seed, cfg.Sources)
+		if err != nil {
+			return SMTResult{}, err
 		}
-		th := &thread{c: h.attach(&base, spaced)}
-		threads[i] = th
-		res.Threads = append(res.Threads, ThreadResult{Workload: w})
+		e.addLane(nd, src)
 	}
-
-	collect := func(partial bool) SMTResult {
-		var totalRetired uint64
-		for _, th := range threads {
-			totalRetired += th.c.Retired()
-		}
-		ctr.Retired = totalRetired
-		ctr.Cycles = cycle
-		res.Counters = ctr
-		res.Cycles = cycle
-		res.BPKI = ctr.BPKI()
-		res.Accuracy = ctr.Accuracy()
-		res.Pollution = ctr.Pollution()
-		res.FinalLevel = h.fdp.Level()
-		res.Partial = partial
-		if h.pf != nil {
-			res.FinalLevel = h.pf.Level()
-		}
-		return res
+	err := e.run(ctx)
+	if err != nil && !errors.Is(err, ErrCancelled) {
+		return SMTResult{}, err
 	}
-
-	remaining := len(threads)
-	var lastSum, lastProgress uint64
-	maxCycles := base.MaxInsts * 2000
-	if maxCycles < 50_000_000 {
-		maxCycles = 50_000_000
+	// The hierarchy counters are shared, so the result reports them once,
+	// with the threads' retirements summed.
+	ctr := nd.ctr
+	ctr.Retired, ctr.Cycles = nd.snap.Retired, nd.snap.Cycles
+	res := SMTResult{
+		Counters:   ctr,
+		Cycles:     e.cycle,
+		BPKI:       ctr.BPKI(),
+		Accuracy:   ctr.Accuracy(),
+		Pollution:  ctr.Pollution(),
+		FinalLevel: nd.h.finalLevel(),
+		Partial:    err != nil,
 	}
-	cancellable := ctx.Done() != nil
-	for remaining > 0 {
-		cycle++
-		h.Tick(cycle)
-		var sum uint64
-		for i, th := range threads {
-			th.c.Tick()
-			sum += th.c.Retired()
-			if !th.done && th.c.Retired() >= base.MaxInsts {
-				th.done = true
-				th.finish = cycle
-				res.Threads[i].Retired = th.c.Retired()
-				res.Threads[i].FinishCycle = cycle
-				res.Threads[i].IPC = float64(th.c.Retired()) / float64(cycle)
-				remaining--
-			}
-		}
-		if cancellable && cycle&(cancelCheckStride-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				// Clean stop: halt dispatch on every thread, drain
-				// in-flight instructions (bounded), then fix the
-				// laggards' statistics at the stop cycle.
-				for _, th := range threads {
-					th.c.Halt()
-				}
-				for extra := 0; extra < drainBudget; extra++ {
-					inFlight := 0
-					for _, th := range threads {
-						inFlight += th.c.InFlight()
-					}
-					if inFlight == 0 {
-						break
-					}
-					cycle++
-					h.Tick(cycle)
-					for _, th := range threads {
-						th.c.Tick()
-					}
-				}
-				var retiredMax uint64
-				for i, th := range threads {
-					if th.done {
-						continue
-					}
-					th.finish = cycle
-					res.Threads[i].Retired = th.c.Retired()
-					res.Threads[i].FinishCycle = cycle
-					res.Threads[i].IPC = float64(th.c.Retired()) / float64(cycle)
-					if th.c.Retired() > retiredMax {
-						retiredMax = th.c.Retired()
-					}
-				}
-				return collect(true), &CancelError{Cause: err, Cycle: cycle, Retired: retiredMax, Target: base.MaxInsts}
-			}
-		}
-		if sum != lastSum {
-			lastSum = sum
-			lastProgress = cycle
-		} else if cycle-lastProgress > 2_000_000 {
-			return SMTResult{}, fmt.Errorf("sim: SMT run stalled at cycle %d", cycle)
-		}
-		if cycle > maxCycles {
-			return SMTResult{}, fmt.Errorf("sim: SMT run exceeded cycle budget %d", maxCycles)
-		}
+	for i, l := range nd.lanes {
+		res.Threads = append(res.Threads, ThreadResult{
+			Workload:    cfg.Workloads[i],
+			Retired:     l.retired,
+			FinishCycle: l.finish,
+			IPC:         float64(l.retired) / float64(l.finish),
+		})
 	}
-
-	return collect(false), nil
+	return res, err
 }

@@ -5,7 +5,6 @@ import (
 
 	"fdpsim/internal/core"
 	"fdpsim/internal/prefetch"
-	"fdpsim/internal/stats"
 )
 
 // collectTracer retains every event (test sink).
@@ -19,9 +18,9 @@ type noopTracer struct{ n uint64 }
 
 func (t *noopTracer) TraceDecision(ev DecisionEvent) { t.n++ }
 
-// boundaryHarness builds a hierarchy whose FDP engine closes one sampling
-// interval per useful eviction, with the OnInterval hook wired the way
-// runWith wires it (including the attribution interval sample when
+// boundaryHarness builds an engine node whose FDP engine closes one
+// sampling interval per useful eviction, with the engine's own
+// OnInterval hook (including the attribution interval sample when
 // enabled). Driving OnEviction exercises the full interval-boundary path:
 // Equation 1 rolls, Table 2 lookup, level/insertion update, record
 // construction, sample assembly and tracer delivery.
@@ -30,16 +29,7 @@ func boundaryHarness(tr Tracer, attribution bool) *hierarchy {
 	cfg.FDP.TInterval = 1
 	cfg.Tracer = tr
 	cfg.Attribution = attribution
-	ctr := &stats.Counters{}
-	h := newHierarchy(&cfg, ctr)
-	h.fdp.OnInterval = func(rec core.IntervalRecord) {
-		var sample stats.IntervalSample
-		if h.attr != nil {
-			sample = h.attrIntervalSample()
-		}
-		h.traceDecision(rec, 123, 456, sample)
-	}
-	return h
+	return newEngine(cfg.DRAM, true, 0).addNode(&cfg).h
 }
 
 // TestTraceDecisionAllocs pins the hot-path contract: an interval boundary

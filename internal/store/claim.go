@@ -27,14 +27,15 @@ import (
 // A claim is a generation-numbered sidecar file
 // <dir>/<fp[:2]>/<fp>.claim<gen> holding the owner, a random nonce and a
 // lease expiry. Ownership belongs to the highest generation with a live
-// lease, and every ownership transition is an O_CREATE|O_EXCL create —
-// the one primitive POSIX serializes — so two racing workers can never
-// both acquire:
+// lease, and every ownership transition is an exclusive create — a
+// complete temp file hard-linked to the generation name, which POSIX
+// serializes and which no reader can observe half-written — so two racing
+// workers can never both acquire:
 //
 //   - fresh acquire: create generation 0 exclusively;
-//   - steal (highest generation expired, or torn by a crash mid-write):
-//     create generation highest+1 exclusively — concurrent thieves race
-//     one O_EXCL create and exactly one wins;
+//   - steal (highest generation expired, or unparsable for longer than
+//     tornClaimGrace): create generation highest+1 exclusively —
+//     concurrent thieves race one link and exactly one wins;
 //   - renew/release: rewrite or remove only one's own generation file,
 //     which no thief ever touches (thieves only create the next one).
 //
@@ -92,6 +93,13 @@ type ClaimInfo struct {
 func (c ClaimInfo) Gen() int { return c.gen }
 
 const claimSuffix = ".claim"
+
+// tornClaimGrace is how long an unparsable claim file counts as held.
+// Published claims are always complete, so one that does not parse was
+// torn by a crash or is still being written by an older worker that
+// creates the file before writing it; stealing it at once would give the
+// writer's fingerprint a second owner.
+const tornClaimGrace = 5 * time.Second
 
 func (s *Store) claimPath(fp string, gen int) string {
 	return filepath.Join(s.dir, fp[:2], fp+claimSuffix+strconv.Itoa(gen))
@@ -165,7 +173,14 @@ func (s *Store) ClaimTrace(fp, owner string, ttl time.Duration, trace string) (C
 	if valid && time.Now().Before(cur.Expires) {
 		return ClaimHeld, cur, nil // live lease
 	}
-	// No claim, an expired lease, or a crash-torn file: race the
+	if !valid && gen >= 0 {
+		if fi, err := os.Stat(s.claimPath(fp, gen)); err == nil {
+			if until := fi.ModTime().Add(tornClaimGrace); time.Now().Before(until) {
+				return ClaimHeld, ClaimInfo{Expires: until, gen: gen}, nil // possibly mid-write
+			}
+		}
+	}
+	// No claim, an expired lease, or a long-torn file: race the
 	// exclusive create of the next generation. Exactly one contender wins.
 	next := gen + 1
 	info, err := s.createClaim(fp, next, owner, ttl, trace)
@@ -195,8 +210,8 @@ func (s *Store) ClaimTrace(fp, owner string, ttl time.Duration, trace string) (C
 		return ClaimAcquired, info, nil
 	case errors.Is(err, fs.ErrExist):
 		// A racing worker won the create. Report whatever now holds the
-		// claim; a torn or vanished winner reads as expiring immediately,
-		// which just sends the caller around the loop again.
+		// claim; a winner that has already released reads as expiring
+		// immediately, which just sends the caller around the loop again.
 		if _, w, ok := s.highestClaim(fp); ok {
 			return ClaimHeld, w, nil
 		}
@@ -206,7 +221,9 @@ func (s *Store) ClaimTrace(fp, owner string, ttl time.Duration, trace string) (C
 	}
 }
 
-// createClaim exclusively creates one generation file.
+// createClaim exclusively creates one generation file, complete: the
+// claim is written to a temp file and hard-linked to the generation name,
+// which fails with fs.ErrExist when a racer got there first.
 func (s *Store) createClaim(fp string, gen int, owner string, ttl time.Duration, trace string) (ClaimInfo, error) {
 	nonce, err := newNonce()
 	if err != nil {
@@ -221,24 +238,27 @@ func (s *Store) createClaim(fp string, gen int, owner string, ttl time.Duration,
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return ClaimInfo{}, fmt.Errorf("store: %w", err)
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+fp+".claim*")
 	if err != nil {
+		return ClaimInfo{}, fmt.Errorf("store: %w", err)
+	}
+	defer os.Remove(tmp.Name())
+	if _, err := tmp.Write(raw); err != nil {
+		tmp.Close()
+		return ClaimInfo{}, fmt.Errorf("store: %w", err)
+	}
+	if err := tmp.Close(); err != nil {
+		return ClaimInfo{}, fmt.Errorf("store: %w", err)
+	}
+	if err := os.Link(tmp.Name(), path); err != nil {
 		return ClaimInfo{}, err // fs.ErrExist = lost the race (not wrapped: callers errors.Is it)
-	}
-	if _, werr := f.Write(raw); werr != nil {
-		f.Close()
-		os.Remove(path)
-		return ClaimInfo{}, fmt.Errorf("store: %w", werr)
-	}
-	if cerr := f.Close(); cerr != nil {
-		os.Remove(path)
-		return ClaimInfo{}, fmt.Errorf("store: %w", cerr)
 	}
 	return info, nil
 }
 
 // readClaim parses one generation file; ok is false for a missing, torn
-// or version-skewed claim (all of which a Claim caller may steal).
+// or version-skewed claim (all of which a Claim caller may steal, torn
+// ones once tornClaimGrace has passed).
 func (s *Store) readClaim(fp string, gen int) (ClaimInfo, bool) {
 	raw, err := os.ReadFile(s.claimPath(fp, gen))
 	if err != nil {

@@ -105,13 +105,21 @@ func TestClaimCorruptRecovery(t *testing.T) {
 	a, b := twoHandles(t)
 	fp := testFP(3)
 
-	// A crash mid-acquire leaves a torn claim file; the next worker must
-	// steal it rather than wedge.
+	// A crash mid-acquire leaves a torn claim file; once it is older than
+	// the grace period the next worker must steal it rather than wedge.
 	path := a.claimPath(fp, 0)
 	if err := os.MkdirAll(dirOf(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, []byte(`{"version":1,"owner":"torn`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A fresh unparsable claim may still be mid-write: it holds.
+	if st, _, err := b.Claim(fp, "w2", time.Minute); err != nil || st != ClaimHeld {
+		t.Fatalf("claim over fresh torn file = %v, %v, want held", st, err)
+	}
+	old := time.Now().Add(-2 * tornClaimGrace)
+	if err := os.Chtimes(path, old, old); err != nil {
 		t.Fatal(err)
 	}
 	st, info, err := b.Claim(fp, "w2", time.Minute)
