@@ -138,19 +138,24 @@ serve:
 # targets and go test refuses an ambiguous -fuzz). FuzzTreeModel hammers
 # the controller model loader: malformed JSON must return ErrInvalid,
 # never panic, and a model that loads must never decide out of range.
+# FuzzParse hammers the WorkloadSpec parser POST /v1/jobs runs: it must
+# never panic, and an accepted spec must round-trip its canonical bytes.
 fuzz:
 	go test ./internal/trace -run xxx -fuzz 'FuzzReader$$' -fuzztime 30s
 	go test ./internal/trace -run xxx -fuzz 'FuzzReaderV2$$' -fuzztime 30s
 	go test ./internal/control -run xxx -fuzz 'FuzzTreeModel$$' -fuzztime 30s
 	go test ./internal/series -run xxx -fuzz 'FuzzDecode$$' -fuzztime 30s
+	go test ./internal/workload/spec -run xxx -fuzz 'FuzzParse$$' -fuzztime 30s
 
-# The 10-second-per-target slice CI runs on every PR, so decoder and
-# model-loader fuzz regressions surface before merge, not in nightlies.
+# The 10-second-per-target slice CI runs on every PR, so decoder, parser
+# and model-loader fuzz regressions surface before merge, not in
+# nightlies.
 fuzz-smoke:
 	go test ./internal/trace -run xxx -fuzz 'FuzzReader$$' -fuzztime 10s
 	go test ./internal/trace -run xxx -fuzz 'FuzzReaderV2$$' -fuzztime 10s
 	go test ./internal/control -run xxx -fuzz 'FuzzTreeModel$$' -fuzztime 10s
 	go test ./internal/series -run xxx -fuzz 'FuzzDecode$$' -fuzztime 10s
+	go test ./internal/workload/spec -run xxx -fuzz 'FuzzParse$$' -fuzztime 10s
 
 clean:
 	go clean ./...

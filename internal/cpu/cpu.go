@@ -219,31 +219,62 @@ func (c *CPU) Tick() {
 	c.dispatch()
 }
 
+// Quiet reports whether a Tick would change nothing but stall counters:
+// nothing can retire (the ROB is empty or its head incomplete), no load
+// is ready to issue, and dispatch is blocked (halted, ROB full, or
+// stalled on instruction fetch). The core stays quiet until the hierarchy
+// delivers a completion.
+func (c *CPU) Quiet() bool {
+	return c.readyCount == 0 && (c.count == 0 || !c.rob[c.head].completed) &&
+		(c.halted || c.count == len(c.rob) || c.fetchStalled)
+}
+
+// SkipQuiet accounts n quiet cycles exactly as n Ticks would: the stall
+// counter dispatch bumps, and the attribution bucket classify picks (the
+// memory-backpressure signal cannot change while the machine is quiet).
+// Quiet must hold.
+func (c *CPU) SkipQuiet(n uint64) {
+	switch {
+	case c.halted:
+	case c.count == len(c.rob):
+		c.stallROBFull += n
+	default:
+		c.stallFetch += n
+	}
+	if c.attr != nil {
+		*c.bucket(0) += n
+	}
+}
+
 // classify attributes the current cycle to one bucket, given how many ops
-// just retired. Precedence is documented on stats.CycleBuckets. The
-// ROB-occupied cases rely on an invariant of this core: only loads ever
-// sit incomplete in the ROB (nops and stores complete at dispatch), so a
-// non-retiring occupied ROB always means the head is a load awaiting data.
-func (c *CPU) classify(ret uint64) {
+// just retired.
+func (c *CPU) classify(ret uint64) { *c.bucket(ret)++ }
+
+// bucket returns the attribution bucket of a cycle that retired ret ops.
+// Precedence is documented on stats.CycleBuckets. The ROB-occupied cases
+// rely on an invariant of this core: only loads ever sit incomplete in
+// the ROB (nops and stores complete at dispatch), so a non-retiring
+// occupied ROB always means the head is a load awaiting data.
+func (c *CPU) bucket(ret uint64) *uint64 {
 	b := c.attr
 	switch {
 	case ret >= uint64(c.cfg.Width):
-		b.RetireFull++
+		return &b.RetireFull
 	case ret > 0:
-		b.RetirePartial++
+		return &b.RetirePartial
 	case c.count > 0:
 		switch {
 		case c.count == len(c.rob):
-			b.StallROBFull++
+			return &b.StallROBFull
 		case c.memBP != nil && c.memBP():
-			b.StallDRAMBP++
+			return &b.StallDRAMBP
 		default:
-			b.StallLoadMiss++
+			return &b.StallLoadMiss
 		}
 	case c.fetchStalled:
-		b.StallIFetch++
+		return &b.StallIFetch
 	default:
-		b.StallFrontend++
+		return &b.StallFrontend
 	}
 }
 

@@ -2,6 +2,8 @@ package cpu
 
 import (
 	"testing"
+
+	"fdpsim/internal/stats"
 )
 
 // scriptSource replays a fixed op list, then pads with nops.
@@ -224,5 +226,55 @@ func TestDefaultConfig(t *testing.T) {
 	c := New(Config{}, &scriptSource{}, (&fixedMem{latency: 1}).access)
 	if len(c.rob) != 128 {
 		t.Fatalf("zero-config ROB = %d", len(c.rob))
+	}
+}
+
+// TestSkipQuietMatchesTicks checks that SkipQuiet(n) leaves a quiet core
+// exactly as n Ticks would — stall counters, attribution buckets and
+// quiescence — in each of the three ways dispatch can be blocked.
+func TestSkipQuietMatchesTicks(t *testing.T) {
+	loads := make([]MicroOp, 300)
+	for i := range loads {
+		loads[i] = MicroOp{Kind: Load, Addr: uint64(i) * 64, PC: 0x4000}
+	}
+	never := func(addr, pc uint64, store bool, robIdx int32, seq uint64) {} // no load ever completes
+	for _, tc := range []struct {
+		name  string
+		setup func(c *CPU)
+	}{
+		{"rob-full", func(c *CPU) {}},
+		{"halted", func(c *CPU) { c.Tick(); c.Tick(); c.Halt() }},
+		{"fetch-stalled", func(c *CPU) { c.SetFetch(func(uint64) bool { return false }) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() (*CPU, *stats.CycleBuckets) {
+				c := New(DefaultConfig(), &scriptSource{ops: loads}, never)
+				b := &stats.CycleBuckets{}
+				c.SetAttribution(b, nil)
+				tc.setup(c)
+				for i := 0; i < 100 && !c.Quiet(); i++ {
+					c.Tick()
+				}
+				if !c.Quiet() {
+					t.Fatal("core never went quiet")
+				}
+				return c, b
+			}
+			ticked, tb := build()
+			skipped, sb := build()
+			for i := 0; i < 37; i++ {
+				ticked.Tick()
+			}
+			skipped.SkipQuiet(37)
+			if ticked.StallROBFull() != skipped.StallROBFull() || ticked.StallFetch() != skipped.StallFetch() ||
+				ticked.Retired() != skipped.Retired() || *tb != *sb {
+				t.Errorf("ticked: rob-full %d fetch %d retired %d %+v\nskipped: rob-full %d fetch %d retired %d %+v",
+					ticked.StallROBFull(), ticked.StallFetch(), ticked.Retired(), *tb,
+					skipped.StallROBFull(), skipped.StallFetch(), skipped.Retired(), *sb)
+			}
+			if !ticked.Quiet() || !skipped.Quiet() {
+				t.Error("a quiet core stopped being quiet with no completion delivered")
+			}
+		})
 	}
 }

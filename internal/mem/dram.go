@@ -285,6 +285,18 @@ func (d *DRAM) Tick(cycle uint64) {
 	}
 }
 
+// NextEvent returns the first cycle after cycle at which Tick can change
+// state: the earliest transfer completion, or the cycle from which the
+// memoized scheduler scan may start a request (the cycle after, when the
+// memo was reset by a queue change). Ticks before it do nothing.
+func (d *DRAM) NextEvent(cycle uint64) uint64 {
+	next := d.nextSchedule
+	if len(d.pending) > 0 {
+		next = min(next, d.pending[0].Finished)
+	}
+	return max(next, cycle+1)
+}
+
 // order decides the scan order of the queues. Writebacks normally drain
 // last, but once their queue is more than half full they are promoted ahead
 // of prefetches so stores cannot back up indefinitely.

@@ -270,3 +270,42 @@ func TestLatencyAccounting(t *testing.T) {
 		t.Fatalf("latency stats: count=%d sum=%d", st.DemandCount, st.DemandLatencySum)
 	}
 }
+
+// TestNextEventVisitsOnlyActiveCycles drives the model by jumping from
+// each reported next event to the following one, and checks it reaches
+// the same completions as ticking every cycle: the report never skips a
+// cycle in which Tick would start or finish a request.
+func TestNextEventVisitsOnlyActiveCycles(t *testing.T) {
+	run := func(jump bool) (finished []uint64, ticks int) {
+		d := New(DefaultConfig())
+		for i := uint64(0); i < 6; i++ {
+			kind := Demand
+			if i%3 == 2 {
+				kind = Prefetch
+			}
+			// Blocks 0, 32, 64... share bank 0, so requests queue behind it.
+			d.Enqueue(&Request{Block: i * 32, Kind: kind, Done: func(r *Request) { finished = append(finished, r.Finished) }}, i)
+		}
+		for c := uint64(6); d.Busy(); c++ {
+			if jump {
+				c = d.NextEvent(c - 1)
+			}
+			d.Tick(c)
+			ticks++
+		}
+		return finished, ticks
+	}
+	want, stepped := run(false)
+	got, jumped := run(true)
+	if len(want) != 6 || len(got) != len(want) {
+		t.Fatalf("completions: jumping %v, ticking %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("completion %d at cycle %d when jumping, %d when ticking", i, got[i], want[i])
+		}
+	}
+	if jumped*4 > stepped {
+		t.Errorf("jumping ticked %d of %d cycles; the memoized scan should skip most", jumped, stepped)
+	}
+}

@@ -116,6 +116,30 @@ func TestFleetTwoWorkers(t *testing.T) {
 		}
 	}
 
+	// The provenance ledger agrees: one executed line per fingerprint,
+	// hence at most one per (fingerprint, lease generation).
+	for i, cfg := range configs {
+		fp, _ := sim.Fingerprint(cfg)
+		entries, err := stA.ReadProvenance(fp)
+		if err != nil {
+			t.Fatalf("config %d ledger: %v", i, err)
+		}
+		executed := 0
+		perGen := map[int]int{}
+		for _, p := range entries {
+			if p.Outcome != store.OutcomeExecuted {
+				continue
+			}
+			executed++
+			if perGen[p.LeaseGen]++; perGen[p.LeaseGen] > 1 {
+				t.Errorf("config %d: %d executed ledger lines under lease generation %d", i, perGen[p.LeaseGen], p.LeaseGen)
+			}
+		}
+		if executed != 1 {
+			t.Errorf("config %d: %d executed ledger lines, want exactly 1 (ledger: %+v)", i, executed, entries)
+		}
+	}
+
 	// No claim files should be left behind once every job released.
 	for _, cfg := range configs {
 		fp, _ := sim.Fingerprint(cfg)

@@ -46,6 +46,10 @@ type metrics struct {
 
 	simCycles atomic.Uint64 // simulated cycles across completed runs
 	simNanos  atomic.Uint64 // wall-clock nanoseconds across completed runs
+	// The cycle engine's split of all simulated cycles, warmup included:
+	// cycles stepped one by one and quiet cycles jumped over.
+	engineActive  atomic.Uint64
+	engineSkipped atomic.Uint64
 
 	intervals atomic.Uint64 // FDP sampling intervals closed across all runs
 
@@ -340,6 +344,8 @@ func (m *metrics) render(w io.Writer, queued int, uptime time.Duration, dccLevel
 
 	cycles, nanos := m.simCycles.Load(), m.simNanos.Load()
 	counter("sim_cycles_total", "Simulated cycles across finished runs.", cycles)
+	counter("sim_engine_active_cycles_total", "Cycles the engine stepped one by one, warmup included.", m.engineActive.Load())
+	counter("sim_engine_skipped_cycles_total", "Quiet cycles the engine jumped over, warmup included.", m.engineSkipped.Load())
 	cps := 0.0
 	if nanos > 0 {
 		cps = float64(cycles) / (float64(nanos) / 1e9)

@@ -860,6 +860,8 @@ func (s *Server) runJob(job *Job) {
 	runDur := time.Since(runStart)
 
 	s.m.simCycles.Add(res.Counters.Cycles)
+	s.m.engineActive.Add(res.Engine.ActiveCycles)
+	s.m.engineSkipped.Add(res.Engine.SkippedCycles)
 	s.m.simNanos.Add(uint64(res.Elapsed.Nanoseconds()))
 
 	runSpan := obs.Span{Parent: job.rootSpan, Name: "run",

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -47,8 +48,9 @@ func allocEngine(tb testing.TB, wls []string, multi bool, kind PrefetcherKind, a
 // TestPerInstructionAllocs is the event engine's core guarantee: after
 // warmup (pools grown, maps sized, queues at working depth) the cycle loop
 // performs zero heap allocations — no closures, no events, no requests, no
-// prefetcher scratch — in every run mode. Guarded here so a regression
-// fails CI, not a profile.
+// prefetcher scratch — in every run mode, on both the step and the skip
+// path. It advances through the run loop's own body. Guarded here so a
+// regression fails CI, not a profile.
 func TestPerInstructionAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-hundred-thousand-cycle warmups")
@@ -85,15 +87,18 @@ func TestPerInstructionAllocs(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			e := allocEngine(t, tc.wls, tc.multi, tc.kind, tc.attr)
 			for e.cycle < 300_000 {
-				e.step()
+				e.advance(math.MaxUint64)
 			}
 			allocs := testing.AllocsPerRun(5, func() {
-				for i := 0; i < 20_000; i++ {
-					e.step()
+				for end := e.cycle + 20_000; e.cycle < end; {
+					e.advance(math.MaxUint64)
 				}
 			})
 			if allocs != 0 {
 				t.Fatalf("steady-state heap allocations: %.1f per 20k cycles, want 0", allocs)
+			}
+			if e.stats.SkippedCycles == 0 {
+				t.Fatal("the loop skipped no quiet cycle, so the skip path went unmeasured")
 			}
 		})
 	}
@@ -114,13 +119,13 @@ func BenchmarkPerInstruction(b *testing.B) {
 			e := allocEngine(b, []string{"mixedphase"}, false, PrefStream, tc.attr)
 			c := e.lanes[0].cpu
 			for e.cycle < 200_000 {
-				e.step()
+				e.advance(math.MaxUint64)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			start := c.Retired()
 			for c.Retired()-start < uint64(b.N) {
-				e.step()
+				e.advance(math.MaxUint64)
 			}
 		})
 	}

@@ -59,21 +59,23 @@ func (h *hierarchy) backpressured() bool {
 	return h.pendingDemand.len() > 0 || h.mshr.Full()
 }
 
-// attrSampleCycle records the per-cycle occupancy samples (MSHR file and
-// DRAM queue depths). Called from Tick when attribution is on.
-func (h *hierarchy) attrSampleCycle() {
+// attrSampleCycles records n cycles' occupancy samples (MSHR file and
+// DRAM queue depths), all equal to the current ones. Called from Tick for
+// one cycle and from skip for a run of quiet cycles, in which the depths
+// cannot change, when attribution is on.
+func (h *hierarchy) attrSampleCycles(n uint64) {
 	a := h.attr
 	mo := uint64(h.mshr.Used())
 	qd := uint64(h.dram.QueueLen(mem.Demand))
 	qp := uint64(h.dram.QueueLen(mem.Prefetch))
 	qw := uint64(h.dram.QueueLen(mem.Writeback))
-	a.agg.MSHROcc.Add(mo)
-	a.agg.QueueDemand.Add(qd)
-	a.agg.QueuePrefetch.Add(qp)
-	a.agg.QueueWriteback.Add(qw)
-	a.mshrSum += mo
-	a.queueSum += qd + qp + qw
-	a.sampleCount++
+	a.agg.MSHROcc.AddN(mo, n)
+	a.agg.QueueDemand.AddN(qd, n)
+	a.agg.QueuePrefetch.AddN(qp, n)
+	a.agg.QueueWriteback.AddN(qw, n)
+	a.mshrSum += mo * n
+	a.queueSum += (qd + qp + qw) * n
+	a.sampleCount += n
 }
 
 // attrPrefFilled records a prefetch fill completing at the current cycle

@@ -28,12 +28,22 @@ const drainBudget = 50_000
 // this many cycles fails instead of spinning to its cycle budget.
 const stallLimit = 2_000_000
 
+// EngineStats counts the cycle loop's own work: cycles stepped one by one
+// and quiet cycles jumped over. They sum to the run's cycle count,
+// warmup and cancellation drain included. Host-side telemetry, not a
+// simulated result: JSON leaves it out, so no fingerprint depends on it.
+type EngineStats struct {
+	ActiveCycles  uint64
+	SkippedCycles uint64
+}
+
 // engine is the one cycle loop behind every run mode. It owns the DRAM
 // and a list of nodes — cache hierarchies — each serving one or more
 // lanes (CPUs). The entry points are wiring: a single-core run is one
 // node with one lane, RunMulti one node per core on a shared DRAM, RunSMT
 // one node with one lane per thread. Each cycle ticks the DRAM, then every
-// node's hierarchy followed by that node's lanes in order.
+// node's hierarchy followed by that node's lanes in order; runs of cycles
+// in which nothing can act are skipped (see run).
 type engine struct {
 	dram *mem.DRAM
 	// private marks a DRAM that serves one node. That node's clock
@@ -50,6 +60,7 @@ type engine struct {
 
 	cycle     uint64
 	remaining int // lanes short of their retire target
+	stats     EngineStats
 	// intervalClosed is set at every FDP interval boundary and arms the
 	// cancellation poll, so a cancel lands within one interval.
 	intervalClosed bool
@@ -147,6 +158,7 @@ func laneSource(i int, name string, seed uint64, given []cpu.Source) (cpu.Source
 // cancellation drain both advance through it.
 func (e *engine) step() (retired uint64) {
 	e.cycle++
+	e.stats.ActiveCycles++
 	cycle := e.cycle
 	if len(e.nodes) == 1 && len(e.nodes[0].lanes) == 1 {
 		// One core: the loop below with its pointers loaded before the
@@ -186,17 +198,78 @@ func (e *engine) step() (retired uint64) {
 	return retired
 }
 
-// run steps until every lane reaches its target. On cancellation it
-// drains and returns a *CancelError, with every node frozen so the
-// partial results are valid; the watchdog and the cycle budget return
-// plain errors.
+// quietThrough returns the last cycle before any component can next act,
+// capped at limit, or e.cycle when one can act in the next cycle. A
+// cycle is quiet when every CPU is Quiet, every hierarchy's queues are
+// idle, and neither the DRAM nor any wheel has an event due in it.
+func (e *engine) quietThrough(limit uint64) uint64 {
+	for _, l := range e.lanes {
+		if !l.cpu.Quiet() {
+			return e.cycle
+		}
+	}
+	for _, n := range e.nodes {
+		if !n.h.quiet() {
+			return e.cycle
+		}
+	}
+	last := min(e.dram.NextEvent(e.cycle)-1, limit)
+	for _, n := range e.nodes {
+		if last == e.cycle {
+			break
+		}
+		last = n.h.wh.next(last+1) - 1
+	}
+	return last
+}
+
+// stepEveryCycle turns skipping off, so that tests can compare run with
+// the plain cycle-by-cycle loop.
+var stepEveryCycle bool
+
+// advance moves the machine forward: it jumps over the quiet cycles
+// before the next one in which some component can act, stopping at
+// limit, or else steps one cycle and returns step's retire count. A jump
+// accounts for the skipped cycles exactly as stepping each would.
+func (e *engine) advance(limit uint64) (retired uint64, stepped bool) {
+	last := e.cycle
+	if !stepEveryCycle {
+		last = e.quietThrough(limit)
+	}
+	if last == e.cycle {
+		return e.step(), true
+	}
+	n := last - e.cycle
+	e.cycle = last
+	e.stats.SkippedCycles += n
+	for _, nd := range e.nodes {
+		nd.h.skip(last, n)
+	}
+	for _, l := range e.lanes {
+		l.cpu.SkipQuiet(n)
+	}
+	return 0, false
+}
+
+// run advances until every lane reaches its target, stepping each cycle
+// in which some component can act and skipping the quiet runs between
+// them. On cancellation it drains and returns a *CancelError, with every
+// node frozen so the partial results are valid; the watchdog and the
+// cycle budget return plain errors. A skip never passes a cancellation
+// poll, the watchdog's deadline or the budget, so each fires on the same
+// cycle it would when stepping.
 func (e *engine) run(ctx context.Context) error {
 	cancellable := ctx.Done() != nil
 	var lastRetired, lastProgress uint64
 	for {
-		retired := e.step()
-		if e.remaining == 0 {
-			break
+		limit := min((e.cycle|(cancelCheckStride-1))+1, lastProgress+stallLimit+1, e.budget)
+		if retired, stepped := e.advance(limit); stepped {
+			if e.remaining == 0 {
+				break
+			}
+			if retired != lastRetired {
+				lastRetired, lastProgress = retired, e.cycle
+			}
 		}
 		if e.intervalClosed || e.cycle&(cancelCheckStride-1) == 0 {
 			e.intervalClosed = false
@@ -206,9 +279,7 @@ func (e *engine) run(ctx context.Context) error {
 				}
 			}
 		}
-		if retired != lastRetired {
-			lastRetired, lastProgress = retired, e.cycle
-		} else if e.cycle-lastProgress > stallLimit {
+		if e.cycle-lastProgress > stallLimit {
 			return e.fail("no retirement progress for 2M cycles")
 		}
 		if e.cycle >= e.budget {
@@ -438,5 +509,6 @@ func (n *node) result() Result {
 		Elapsed:     n.e.elapsed,
 		Attribution: n.h.attrFinalize(),
 		Controller:  cfg.Controller,
+		Engine:      n.e.stats,
 	}
 }

@@ -295,7 +295,27 @@ func (h *hierarchy) Tick(cycle uint64) {
 	h.retryPending()
 	h.drainPrefetchQueue()
 	if h.attr != nil {
-		h.attrSampleCycle()
+		h.attrSampleCycles(1)
+	}
+}
+
+// quiet reports whether Tick's queue work is idle: no writeback or demand
+// awaits a retry and the prefetch queue is empty. A blocked queue counts
+// as active (a writeback retry bumps the DRAM's Dropped counter every
+// cycle). The wheel and the DRAM report their own next events.
+func (h *hierarchy) quiet() bool {
+	return h.pendingWB.len() == 0 && h.pendingDemand.len() == 0 && h.prefQ.len() == 0
+}
+
+// skip accounts n quiet cycles ending at cycle last exactly as n Ticks
+// would: the clocks stand at last — a fill the DRAM delivers at last+1
+// stamps and schedules from them before the next Tick — and attribution
+// samples the unchanged occupancy n times.
+func (h *hierarchy) skip(last, n uint64) {
+	h.cyc = last
+	h.wh.now = last
+	if h.attr != nil {
+		h.attrSampleCycles(n)
 	}
 }
 

@@ -43,6 +43,8 @@ type MultiResult struct {
 	// Partial marks a cancelled run; cores that had not reached their
 	// retire target carry Partial results snapshotted at the stop cycle.
 	Partial bool
+	// Engine is the cycle loop's telemetry. Not encoded.
+	Engine EngineStats `json:"-"`
 }
 
 // AggregateIPC returns the sum of per-core IPCs (system throughput).
@@ -102,7 +104,7 @@ func RunMultiContext(ctx context.Context, mc MultiConfig) (MultiResult, error) {
 	if err != nil && !errors.Is(err, ErrCancelled) {
 		return MultiResult{}, err
 	}
-	res := MultiResult{Cycles: e.cycle, Partial: err != nil}
+	res := MultiResult{Cycles: e.cycle, Partial: err != nil, Engine: e.stats}
 	for _, nd := range e.nodes {
 		// Cycle accounting and prefetch timeliness are per-core; the
 		// bus/queue/row telemetry inside reflects the shared DRAM, so

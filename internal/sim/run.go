@@ -56,6 +56,10 @@ type Result struct {
 	// Omitted from JSON when empty, keeping default-run Results — and
 	// their golden fingerprints — unchanged.
 	Controller string `json:",omitempty"`
+
+	// Engine is the cycle loop's telemetry; under RunMulti every core
+	// reports the shared engine's. Not encoded.
+	Engine EngineStats `json:"-"`
 }
 
 // Run executes one simulation to completion.

@@ -54,6 +54,8 @@ type SMTResult struct {
 	// Partial marks a cancelled run; threads that had not reached the
 	// retire target carry an IPC measured at the stop cycle.
 	Partial bool
+	// Engine is the cycle loop's telemetry. Not encoded.
+	Engine EngineStats `json:"-"`
 }
 
 // AggregateIPC returns the sum of per-thread IPCs.
@@ -141,6 +143,7 @@ func RunSMTContext(ctx context.Context, cfg SMTConfig) (SMTResult, error) {
 		Pollution:  ctr.Pollution(),
 		FinalLevel: nd.h.finalLevel(),
 		Partial:    err != nil,
+		Engine:     e.stats,
 	}
 	for i, l := range nd.lanes {
 		res.Threads = append(res.Threads, ThreadResult{

@@ -21,6 +21,9 @@ type wheel struct {
 	far []farEvent
 	// run dispatches one fired event; set once by the owning hierarchy.
 	run func(ev event)
+	// live counts the events in buckets, so next costs O(1) on an empty
+	// wheel.
+	live int
 }
 
 type farEvent struct {
@@ -51,6 +54,7 @@ func (w *wheel) schedule(delay uint64, id int32) {
 		return
 	}
 	w.buckets[(w.now+delay)&w.mask].push(w.pool, id)
+	w.live++
 }
 
 // scheduleFar inserts an over-horizon event keeping far sorted by due
@@ -81,14 +85,36 @@ func (w *wheel) tick(cycle uint64) {
 			slot = cycle & w.mask
 		}
 		w.buckets[slot].push(w.pool, fe.id)
+		w.live++
 	}
 	id := w.buckets[cycle&w.mask].take()
 	for id != nilEvent {
 		ev := *w.pool.at(id)
 		w.pool.release(id)
+		w.live--
 		w.run(ev)
 		id = ev.next
 	}
+}
+
+// next returns the first cycle after now at which tick has work — the
+// first non-empty bucket, or the cycle the earliest far-future event
+// folds into one — or limit when that comes no sooner.
+func (w *wheel) next(limit uint64) uint64 {
+	if len(w.far) > 0 {
+		// tick folds an event once due <= cycle+mask; scheduleFar keeps
+		// due > now+mask, so this is after now.
+		limit = min(limit, w.far[0].due-w.mask)
+	}
+	if w.live == 0 {
+		return limit
+	}
+	for c := w.now + 1; c < limit; c++ {
+		if !w.buckets[c&w.mask].empty() {
+			return c
+		}
+	}
+	return limit
 }
 
 // pendingFar returns the number of parked over-horizon events (tests).

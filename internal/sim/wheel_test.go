@@ -136,3 +136,40 @@ func TestWheelManyEventsSameCycle(t *testing.T) {
 		t.Fatalf("pool leak: %d free of %d nodes", got, want)
 	}
 }
+
+// TestWheelNext checks the wheel's next-event report: the limit when
+// empty, the first non-empty bucket, and the cycle an over-horizon event
+// folds into a bucket (due - mask); each fires or folds exactly then.
+func TestWheelNext(t *testing.T) {
+	w, log := testWheel(16)
+	w.tick(10)
+	if got := w.next(1000); got != 1000 {
+		t.Fatalf("empty wheel: next = %d, want the limit 1000", got)
+	}
+	w.schedule(5, w.pool.alloc(evFillL1, 0, 0, 15))
+	w.schedule(40, w.pool.alloc(evFillL1, 0, 0, 50)) // over the 15-cycle horizon
+	if got := w.next(1000); got != 15 {
+		t.Fatalf("next = %d, want 15", got)
+	}
+	if got := w.next(12); got != 12 {
+		t.Fatalf("next under a limit of 12 = %d, want 12", got)
+	}
+	w.tick(15)
+	if len(*log) != 1 {
+		t.Fatalf("fired %v at cycle 15, want [15]", *log)
+	}
+	if got := w.next(1000); got != 50-15 {
+		t.Fatalf("next with only a far event = %d, want its fold cycle %d", got, 50-15)
+	}
+	w.tick(35) // the fold cycle: the event joins its bucket
+	if w.pendingFar() != 0 {
+		t.Fatal("far event did not fold at due - mask")
+	}
+	if got := w.next(1000); got != 50 {
+		t.Fatalf("next after folding = %d, want 50", got)
+	}
+	w.tick(50)
+	if len(*log) != 2 || w.next(1000) != 1000 {
+		t.Fatalf("fired %v; want [15 50] and an empty wheel", *log)
+	}
+}

@@ -81,6 +81,9 @@ type LogHist struct {
 // Add records one sample.
 func (h *LogHist) Add(v uint64) { h.Counts[bits.Len64(v)]++ }
 
+// AddN records n samples of the same value.
+func (h *LogHist) AddN(v, n uint64) { h.Counts[bits.Len64(v)] += n }
+
 // Total returns the number of recorded samples.
 func (h *LogHist) Total() uint64 {
 	var t uint64

@@ -114,11 +114,22 @@ func (t *Writer) Close() error {
 // the recorded ops if Loop is true (addresses repeat identically).
 type Reader struct {
 	name string
-	ops  []cpu.MicroOp
-	pos  int
+	// runs is the decoded stream with each nop run kept as one entry, so
+	// memory grows with the file's size rather than with the op count it
+	// declares: a few bytes can declare a run of maxOps nops.
+	runs []run
+	ops  uint64 // ops in runs
+	pos  int    // the run Next emits from
+	rep  uint64 // ops of runs[pos] already emitted
 	// Loop restarts the trace when exhausted instead of emitting Nops.
 	Loop  bool
 	ended bool
+}
+
+// run is n repetitions of one micro-op.
+type run struct {
+	op cpu.MicroOp
+	n  uint64
 }
 
 // NewReader fully decodes a trace (traces are bounded by construction).
@@ -160,11 +171,12 @@ func NewReader(r io.Reader) (*Reader, error) {
 			if err != nil {
 				return nil, err
 			}
-			if n > maxOps || uint64(len(t.ops))+n > maxOps {
+			if n > maxOps || t.ops+n > maxOps {
 				return nil, fmt.Errorf("trace: nop run of %d exceeds the %d-op decode limit", n, maxOps)
 			}
-			for i := uint64(0); i < n; i++ {
-				t.ops = append(t.ops, cpu.MicroOp{Kind: cpu.Nop})
+			if n > 0 {
+				t.runs = append(t.runs, run{op: cpu.MicroOp{Kind: cpu.Nop}, n: n})
+				t.ops += n
 			}
 		case tagLoad, tagStore:
 			da, err := binary.ReadVarint(br)
@@ -188,7 +200,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 			} else {
 				op.Kind = cpu.Store
 			}
-			t.ops = append(t.ops, op)
+			t.runs = append(t.runs, run{op: op, n: 1})
+			t.ops++
 		default:
 			return nil, fmt.Errorf("trace: unknown record tag %d", tag)
 		}
@@ -199,10 +212,10 @@ func NewReader(r io.Reader) (*Reader, error) {
 func (t *Reader) Name() string { return t.name }
 
 // Len returns the number of recorded micro-ops.
-func (t *Reader) Len() int { return len(t.ops) }
+func (t *Reader) Len() int { return int(t.ops) }
 
 // Ops implements ReplaySource.
-func (t *Reader) Ops() uint64 { return uint64(len(t.ops)) }
+func (t *Reader) Ops() uint64 { return t.ops }
 
 // SetLoop implements ReplaySource.
 func (t *Reader) SetLoop(loop bool) { t.Loop = loop }
@@ -212,17 +225,19 @@ func (t *Reader) Exhausted() bool { return t.ended }
 
 // Next implements cpu.Source.
 func (t *Reader) Next() cpu.MicroOp {
-	if t.pos >= len(t.ops) {
-		if t.Loop && len(t.ops) > 0 {
+	if t.pos >= len(t.runs) {
+		if t.Loop && len(t.runs) > 0 {
 			t.pos = 0
 		} else {
 			t.ended = true
 			return cpu.MicroOp{Kind: cpu.Nop}
 		}
 	}
-	op := t.ops[t.pos]
-	t.pos++
-	return op
+	r := &t.runs[t.pos]
+	if t.rep++; t.rep == r.n {
+		t.pos, t.rep = t.pos+1, 0
+	}
+	return r.op
 }
 
 func writeUvarint(w *bufio.Writer, v uint64) {
