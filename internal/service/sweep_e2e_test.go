@@ -360,11 +360,16 @@ func TestRetryAfterJitter(t *testing.T) {
 	defer drainServer(t, srv)
 
 	// One running + one queued fills the service; the next submission
-	// sheds with a jittered Retry-After.
+	// sheds with a jittered Retry-After. The second fill waits for the
+	// worker to take the first off the one-slot queue.
 	for i := 0; i < 2; i++ {
+		var st JobStatus
 		if code := doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs",
-			submitBody(t, slowConfig(uint64(100+i))), nil); code != http.StatusAccepted {
+			submitBody(t, slowConfig(uint64(100+i))), &st); code != http.StatusAccepted {
 			t.Fatalf("fill submit %d = %d", i, code)
+		}
+		if i == 0 {
+			pollUntil(t, client, ts.URL+"/v1/jobs/"+st.ID, func(s JobStatus) bool { return s.State == StateRunning })
 		}
 	}
 	sawJitter := false
