@@ -140,12 +140,15 @@ serve:
 # never panic, and a model that loads must never decide out of range.
 # FuzzParse hammers the WorkloadSpec parser POST /v1/jobs runs: it must
 # never panic, and an accepted spec must round-trip its canonical bytes.
+# FuzzExpand hammers the POST /v1/sweeps body: rejections wrap
+# ErrInvalid, and an accepted grid stays within sweep.MaxJobs.
 fuzz:
 	go test ./internal/trace -run xxx -fuzz 'FuzzReader$$' -fuzztime 30s
 	go test ./internal/trace -run xxx -fuzz 'FuzzReaderV2$$' -fuzztime 30s
 	go test ./internal/control -run xxx -fuzz 'FuzzTreeModel$$' -fuzztime 30s
 	go test ./internal/series -run xxx -fuzz 'FuzzDecode$$' -fuzztime 30s
 	go test ./internal/workload/spec -run xxx -fuzz 'FuzzParse$$' -fuzztime 30s
+	go test ./internal/sweep -run xxx -fuzz 'FuzzExpand$$' -fuzztime 30s
 
 # The 10-second-per-target slice CI runs on every PR, so decoder, parser
 # and model-loader fuzz regressions surface before merge, not in
@@ -156,6 +159,7 @@ fuzz-smoke:
 	go test ./internal/control -run xxx -fuzz 'FuzzTreeModel$$' -fuzztime 10s
 	go test ./internal/series -run xxx -fuzz 'FuzzDecode$$' -fuzztime 10s
 	go test ./internal/workload/spec -run xxx -fuzz 'FuzzParse$$' -fuzztime 10s
+	go test ./internal/sweep -run xxx -fuzz 'FuzzExpand$$' -fuzztime 10s
 
 clean:
 	go clean ./...

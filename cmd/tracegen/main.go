@@ -125,8 +125,12 @@ func main() {
 	// Same up-front check for the workload: no half-written trace file
 	// behind an unknown-name failure.
 	if !workload.Exists(*workloadName) {
+		var names []string
+		for _, info := range fdpsim.WorkloadList() {
+			names = append(names, info.Name)
+		}
 		cli.Fatalf(tool, cli.ExitUsage, "unknown workload %q\nvalid workloads: %s",
-			*workloadName, strings.Join(fdpsim.Workloads(), ", "))
+			*workloadName, strings.Join(names, ", "))
 	}
 	var src fdpsim.Source
 	switch {

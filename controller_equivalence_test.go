@@ -30,7 +30,7 @@ func TestControllerEquivalence(t *testing.T) {
 	}
 
 	kinds := []PrefetcherKind{PrefNone, PrefStream, PrefGHB, PrefStride, PrefNextLine, PrefDahlgren, PrefHybrid}
-	for _, w := range Workloads() {
+	for _, w := range workloadNames() {
 		for _, k := range kinds {
 			name := fmt.Sprintf("%s/%s/fdp", w, k)
 			cfg := goldenBase(k, w)

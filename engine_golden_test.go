@@ -77,10 +77,19 @@ func singleCase(name string, cfg Config) goldenCase {
 	}}
 }
 
+// workloadNames lists every registered workload name.
+func workloadNames() []string {
+	var names []string
+	for _, w := range WorkloadList() {
+		names = append(names, w.Name)
+	}
+	return names
+}
+
 func engineGoldenCases() []goldenCase {
 	kinds := []PrefetcherKind{PrefNone, PrefStream, PrefGHB, PrefStride, PrefNextLine, PrefDahlgren, PrefHybrid}
 	var cases []goldenCase
-	for _, w := range Workloads() {
+	for _, w := range workloadNames() {
 		for _, k := range kinds {
 			// Full FDP control: dynamic aggressiveness + dynamic insertion.
 			cases = append(cases, singleCase(fmt.Sprintf("%s/%s/fdp", w, k), goldenBase(k, w)))

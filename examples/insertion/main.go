@@ -27,8 +27,12 @@ func main() {
 		{"MRU", fdpsim.PosMRU},
 	}
 
+	about := map[string]string{}
+	for _, info := range fdpsim.WorkloadList() {
+		about[info.Name] = info.About
+	}
 	for _, workload := range []string{"hotcold", "seqstream"} {
-		fmt.Printf("workload %q: %s\n", workload, fdpsim.WorkloadAbout(workload))
+		fmt.Printf("workload %q: %s\n", workload, about[workload])
 		for _, p := range positions {
 			cfg, err := fdpsim.NewConfig(fdpsim.PrefStream,
 				fdpsim.WithWorkload(workload),

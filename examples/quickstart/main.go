@@ -35,7 +35,11 @@ func main() {
 		return res
 	}
 
-	fmt.Printf("workload %q: %s\n\n", workload, fdpsim.WorkloadAbout(workload))
+	for _, info := range fdpsim.WorkloadList() {
+		if info.Name == workload {
+			fmt.Printf("workload %q: %s\n\n", workload, info.About)
+		}
+	}
 	base := run("no prefetching", fdpsim.PrefNone)
 	va := run("very aggressive", fdpsim.PrefStream, fdpsim.WithFixedAggressiveness(5))
 	fdp := run("FDP", fdpsim.PrefStream)

@@ -312,30 +312,8 @@ const (
 
 // WorkloadList returns the workloads carrying every one of the given
 // tags — all workloads when called with none — sorted by name. This is
-// the registry's one listing entry point; the deprecated name-list
-// functions below are thin views over it.
+// the registry's one listing entry point.
 func WorkloadList(tags ...string) []WorkloadInfo { return workload.List(tags...) }
-
-// Workloads returns all registered workload names.
-//
-// Deprecated: use WorkloadList, which also carries tags and
-// descriptions. Retained so existing callers keep compiling.
-func Workloads() []string { return workload.Names() }
-
-// MemoryIntensiveWorkloads returns the paper's 17-benchmark evaluation set.
-//
-// Deprecated: use WorkloadList(WorkloadTagMemIntensive).
-func MemoryIntensiveWorkloads() []string { return workload.MemoryIntensive() }
-
-// LowPotentialWorkloads returns the remaining 9 benchmarks (Figure 14).
-//
-// Deprecated: use WorkloadList(WorkloadTagLowPotential).
-func LowPotentialWorkloads() []string { return workload.LowPotential() }
-
-// WorkloadAbout returns the one-line description of a workload.
-//
-// Deprecated: use WorkloadList and read Info.About.
-func WorkloadAbout(name string) string { return workload.About(name) }
 
 // Controller is a pluggable feedback decision policy: the seam the FDP
 // engine consults at every sampling-interval boundary. The registry

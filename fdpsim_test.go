@@ -47,17 +47,21 @@ func ExampleRunMulti() {
 	// cores: 2, both progressed: true
 }
 
+// TestFacadeWorkloadLists checks the paper's two benchmark sets
+// partition the built-in registry.
 func TestFacadeWorkloadLists(t *testing.T) {
-	all := Workloads()
-	mi := MemoryIntensiveWorkloads()
-	lp := LowPotentialWorkloads()
+	all := WorkloadList()
+	mi := WorkloadList(WorkloadTagMemIntensive)
+	lp := WorkloadList(WorkloadTagLowPotential)
 	if len(mi) != 17 || len(lp) != 9 || len(all) != 26 {
 		t.Fatalf("workload sets: %d mem-intensive, %d low-potential, %d total", len(mi), len(lp), len(all))
 	}
-	for _, w := range all {
-		if WorkloadAbout(w) == "" {
-			t.Errorf("workload %s undescribed", w)
+	seen := map[string]bool{}
+	for _, w := range append(mi, lp...) {
+		if seen[w.Name] {
+			t.Errorf("workload %s is in both sets", w.Name)
 		}
+		seen[w.Name] = true
 	}
 }
 
@@ -120,16 +124,10 @@ func (s *rampSource) Next() MicroOp {
 	return MicroOp{Kind: OpNop}
 }
 
-// TestFacadeWorkloadList covers the tag-based registry view and its
-// agreement with the deprecated name-list functions.
+// TestFacadeWorkloadList covers the tag-based registry view: AND
+// filtering and complete entries.
 func TestFacadeWorkloadList(t *testing.T) {
 	all := WorkloadList()
-	if len(all) != len(Workloads()) {
-		t.Fatalf("WorkloadList()=%d, Workloads()=%d", len(all), len(Workloads()))
-	}
-	if got := WorkloadList(WorkloadTagMemIntensive); len(got) != len(MemoryIntensiveWorkloads()) {
-		t.Fatalf("mem-intensive: %d via tags, %d via legacy", len(got), len(MemoryIntensiveWorkloads()))
-	}
 	if got := WorkloadList(WorkloadTagBuiltin, WorkloadTagLowPotential); len(got) != 9 {
 		t.Fatalf("AND filter: %d, want 9", len(got))
 	}

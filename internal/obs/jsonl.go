@@ -63,8 +63,8 @@ func WriteJSONL(w io.Writer, events []sim.DecisionEvent) error {
 	return j.Close()
 }
 
-// ReadJSONL parses a JSONL decision trace back into events (the service
-// uses it to re-render persisted traces in other formats).
+// ReadJSONL parses a JSONL decision trace back into events (fdptop
+// -replay reads trace files with it).
 func ReadJSONL(r io.Reader) ([]sim.DecisionEvent, error) {
 	var events []sim.DecisionEvent
 	dec := json.NewDecoder(r)

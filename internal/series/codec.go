@@ -28,10 +28,14 @@ import (
 // Delta/XOR predecessors start at zero. Encoding is fully deterministic —
 // no timestamps, no map iteration — so identical columns byte-compare
 // equal, which the determinism tests rely on.
+//
+// Bump formatVersion whenever the catalog or Meta changes: an older
+// sidecar then fails Decode as version skew (a store miss left on disk),
+// never as a document missing columns Events needs.
 
 const (
 	magic         = "FDPSERS1"
-	formatVersion = 1
+	formatVersion = 2
 	footerLen     = 8
 
 	kindByteInt   = 0
@@ -170,6 +174,9 @@ func Decode(data []byte) (*Series, error) {
 		if err != nil {
 			return nil, fmt.Errorf("column %d (%s): %w", i, meta.Metrics[i], err)
 		}
+		if err := checkCodes(meta.Metrics[i], col, &meta); err != nil {
+			return nil, err
+		}
 		cols[i] = col
 	}
 
@@ -181,6 +188,30 @@ func Decode(data []byte) (*Series, error) {
 		return nil, corruptf("%d trailing bytes", len(rest[n:]))
 	}
 	return &Series{Meta: meta, Columns: cols}, nil
+}
+
+// checkCodes rejects an enumerated column holding a value outside its
+// label table: a CRC-valid document can carry one, and Events would
+// otherwise index out of range.
+func checkCodes(name string, col []float64, meta *Meta) error {
+	lo, hi := 0, 1 // late, polluting
+	switch name {
+	case "insertion_pos":
+		lo, hi = -1, len(insertionLabels)-1
+	case "accuracy_class":
+		hi = len(accuracyClasses) - 1
+	case "reason":
+		hi = len(meta.Reasons) - 1
+	case "late", "polluting":
+	default:
+		return nil
+	}
+	for i, v := range col {
+		if !(v >= float64(lo) && v <= float64(hi) && v == math.Trunc(v)) {
+			return corruptf("column %s: value %g at interval %d outside %d..%d", name, v, i+1, lo, hi)
+		}
+	}
+	return nil
 }
 
 // readFrame pops one length+CRC+payload frame off the front of b.

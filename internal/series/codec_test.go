@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"reflect"
 	"testing"
 )
+
+// enumerated names the columns whose values index a label table; Decode
+// range-checks them, so sampleSeries keeps them at codes 0 and 1.
+var enumerated = map[string]bool{"insertion_pos": true, "accuracy_class": true, "late": true, "polluting": true, "reason": true}
 
 // sampleSeries builds a small but fully-populated series covering both
 // column kinds, negative values, and non-trivial float drift.
@@ -21,6 +26,7 @@ func sampleSeries(n int) *Series {
 			Controller: "fdp",
 			Intervals:  n,
 			Metrics:    make([]string, NumMetrics),
+			Reasons:    []string{"to keep the benefits of timely prefetches", "static baseline: hold level 3"},
 		},
 		Columns: make([][]float64, NumMetrics),
 	}
@@ -31,6 +37,9 @@ func sampleSeries(n int) *Series {
 			if m.Kind == KindInt {
 				// Include negatives (insertion_pos can be -1).
 				col[j] = float64((j*7+i)%11 - 1)
+				if enumerated[m.Name] {
+					col[j] = float64((j*7 + i) % 2)
+				}
 			} else {
 				col[j] = math.Sin(float64(j)*0.3+float64(i)) * 1.5
 			}
@@ -143,7 +152,7 @@ func TestDecodeVersionSkew(t *testing.T) {
 	body := enc[len(magic):]
 	size, n := binary.Uvarint(body)
 	payload := append([]byte(nil), body[n+4:n+4+int(size)]...)
-	patched := bytes.Replace(payload, []byte(`"version":1`), []byte(`"version":9`), 1)
+	patched := bytes.Replace(payload, []byte(fmt.Sprintf(`"version":%d`, formatVersion)), []byte(`"version":9`), 1)
 	if bytes.Equal(patched, payload) {
 		t.Fatal("version field not found in meta payload")
 	}
@@ -164,6 +173,35 @@ func TestZigzag(t *testing.T) {
 	for _, v := range []int64{0, 1, -1, 63, -64, math.MaxInt64, math.MinInt64} {
 		if got := unzigzag(zigzag(v)); got != v {
 			t.Errorf("zigzag round trip: %d -> %d", v, got)
+		}
+	}
+}
+
+// TestDecodeRejectsBadCodes checks every enumerated column: a CRC-valid
+// document carrying a code outside its label table is corrupt, because
+// Events would index out of range on it.
+func TestDecodeRejectsBadCodes(t *testing.T) {
+	for _, tc := range []struct {
+		metric string
+		value  float64
+	}{
+		{"reason", 2}, // sampleSeries carries two reasons
+		{"reason", -1},
+		{"insertion_pos", 4},
+		{"insertion_pos", -2},
+		{"accuracy_class", 3},
+		{"late", 2},
+		{"polluting", -1},
+	} {
+		s := sampleSeries(4)
+		col, _ := s.Column(tc.metric)
+		col[2] = tc.value
+		doc, err := Encode(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(doc); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s=%g: Decode error %v, want ErrCorrupt", tc.metric, tc.value, err)
 		}
 	}
 }

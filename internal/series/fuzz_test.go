@@ -7,9 +7,11 @@ import (
 )
 
 // FuzzDecode hammers the sidecar frame decoder: arbitrary input must
-// never panic or over-allocate, and any input that decodes successfully
-// must re-encode and decode to the same columns (the codec is a lossless
-// bijection on its accepted set).
+// never panic or over-allocate, any input that decodes successfully must
+// re-encode and decode to the same columns (the codec is a lossless
+// bijection on its accepted set), and every accepted document converts to
+// decision events without panicking (GET /v1/jobs/{id}/trace runs Events
+// on stored sidecars).
 func FuzzDecode(f *testing.F) {
 	for _, n := range []int{0, 1, 17} {
 		enc, err := Encode(sampleSeries(n))
@@ -31,6 +33,9 @@ func FuzzDecode(f *testing.F) {
 		s, err := Decode(data)
 		if err != nil {
 			return
+		}
+		if events, err := s.Events(); err == nil && len(events) != s.Len() {
+			t.Fatalf("Events returned %d events for %d intervals", len(events), s.Len())
 		}
 		re, err := Encode(s)
 		if err != nil {

@@ -8,7 +8,8 @@
 // catalog from every DecisionEvent and appends it column-wise. Encode
 // packs the columns into a delta-encoded, CRC-framed binary document
 // (persisted by internal/store as a <fp>.series.bin sidecar next to the
-// Result and the decision trace); Decode reads it back. On top of the
+// Result, the run's only per-interval artifact); Decode reads it back and
+// Events rebuilds the exact decision trace from it. On top of the
 // Series sit windowed downsampling (Downsample: min/mean/max/p95 per
 // step), element-wise merging across runs (Merge, the sweep-level view)
 // and the run-diff engine (Diff): align two runs interval-by-interval,
@@ -72,6 +73,36 @@ var Catalog = []Metric{
 	{Name: "pref_late", Kind: KindInt, Unit: "prefetches", Help: "demand hits on still-in-flight prefetches in the interval (raw count)"},
 	{Name: "pollution_misses", Kind: KindInt, Unit: "misses", Help: "demand misses the pollution filter attributes to prefetching (raw count)"},
 	{Name: "demand_misses", Kind: KindInt, Unit: "misses", Help: "L2 demand misses in the interval (raw count)"},
+
+	// The remaining DecisionEvent fields, so Events can rebuild the
+	// decision trace from the series alone.
+	{Name: "decayed_pref_sent", Kind: KindInt, Unit: "prefetches", Help: "Equation 1 decayed prefetches-sent accumulation at the boundary"},
+	{Name: "decayed_pref_used", Kind: KindInt, Unit: "prefetches", Help: "Equation 1 decayed useful-prefetch accumulation at the boundary"},
+	{Name: "decayed_pref_late", Kind: KindInt, Unit: "prefetches", Help: "Equation 1 decayed late-prefetch accumulation at the boundary"},
+	{Name: "decayed_pollution_misses", Kind: KindInt, Unit: "misses", Help: "Equation 1 decayed pollution-miss accumulation at the boundary"},
+	{Name: "decayed_demand_misses", Kind: KindInt, Unit: "misses", Help: "Equation 1 decayed demand-miss accumulation at the boundary"},
+	{Name: "accuracy_class", Kind: KindInt, Help: "accuracy threshold class: 0=Low 1=Medium 2=High"},
+	{Name: "late", Kind: KindInt, Help: "lateness at or above its threshold (0/1)"},
+	{Name: "polluting", Kind: KindInt, Help: "pollution at or above its threshold (0/1)"},
+	{Name: "case", Kind: KindInt, Help: "Table 2 case (1..12) the boundary selected; 0 for a non-paper controller"},
+	{Name: "update", Kind: KindInt, Help: "Dynamic Configuration Counter adjustment (-1, 0, +1)"},
+	{Name: "dcc_before", Kind: KindInt, Unit: "level", Help: "Dynamic Configuration Counter before the boundary's update (1..5)"},
+	{Name: "distance", Kind: KindInt, Help: "prefetch distance the new level configures"},
+	{Name: "degree", Kind: KindInt, Help: "prefetch degree the new level configures"},
+	{Name: "reason", Kind: KindInt, Help: "controller rationale: index into the header's reasons table"},
+	{Name: "cycles_retire_full", Kind: KindInt, Unit: "cycles", Help: "interval cycles retiring a full width (attribution only)"},
+	{Name: "cycles_retire_partial", Kind: KindInt, Unit: "cycles", Help: "interval cycles retiring partially (attribution only)"},
+	{Name: "cycles_stall_load_miss", Kind: KindInt, Unit: "cycles", Help: "interval cycles stalled on a head load miss (attribution only)"},
+	{Name: "cycles_stall_rob_full", Kind: KindInt, Unit: "cycles", Help: "interval cycles stalled with the ROB full (attribution only)"},
+	{Name: "cycles_stall_dram_bp", Kind: KindInt, Unit: "cycles", Help: "interval cycles stalled on DRAM backpressure (attribution only)"},
+	{Name: "cycles_stall_ifetch", Kind: KindInt, Unit: "cycles", Help: "interval cycles stalled on instruction fetch (attribution only)"},
+	{Name: "cycles_stall_frontend", Kind: KindInt, Unit: "cycles", Help: "interval cycles lost to dispatch gaps (attribution only)"},
+	{Name: "bus_demand_cycles", Kind: KindInt, Unit: "cycles", Help: "data-bus cycles carrying demand traffic (attribution only)"},
+	{Name: "bus_prefetch_cycles", Kind: KindInt, Unit: "cycles", Help: "data-bus cycles carrying prefetch traffic (attribution only)"},
+	{Name: "bus_writeback_cycles", Kind: KindInt, Unit: "cycles", Help: "data-bus cycles carrying writebacks (attribution only)"},
+	{Name: "row_hits", Kind: KindInt, Help: "DRAM row-buffer hits in the interval (attribution only)"},
+	{Name: "row_misses", Kind: KindInt, Help: "DRAM row-buffer misses in the interval (attribution only)"},
+	{Name: "sample_bus_util", Kind: KindFloat, Help: "bus utilization measured by the attribution layer (attribution only)"},
 }
 
 // NumMetrics is the catalog width.
@@ -90,15 +121,20 @@ func MetricIndex(name string) int {
 // Meta is the series header: identity labels plus the column layout the
 // payload frames follow.
 type Meta struct {
-	Version    int      `json:"version"`
-	Workload   string   `json:"workload,omitempty"`
-	Prefetcher string   `json:"prefetcher,omitempty"`
-	Controller string   `json:"controller,omitempty"`
-	Intervals  int      `json:"intervals"`
-	Metrics    []string `json:"metrics"`
+	Version    int    `json:"version"`
+	Workload   string `json:"workload,omitempty"`
+	Prefetcher string `json:"prefetcher,omitempty"`
+	Controller string `json:"controller,omitempty"`
+	// Core is the recorded core of a multi-core run (0 otherwise).
+	Core      int      `json:"core,omitempty"`
+	Intervals int      `json:"intervals"`
+	Metrics   []string `json:"metrics"`
 	// Truncated counts intervals dropped by the Recorder's Limit; a
 	// non-zero value flags the series as a prefix of the run.
 	Truncated uint64 `json:"truncated,omitempty"`
+	// Reasons is the controller-rationale table the reason column
+	// indexes, in first-seen order so identical runs encode identically.
+	Reasons []string `json:"reasons,omitempty"`
 }
 
 // Series is a decoded (or recorded) interval timeseries: one column of
@@ -121,20 +157,27 @@ func (s *Series) Column(name string) ([]float64, bool) {
 	return nil, false
 }
 
-// insertionIndex maps a DecisionEvent insertion label to its catalog code.
-func insertionIndex(pos string) int {
-	switch pos {
-	case "MRU":
-		return 0
-	case "MID":
-		return 1
-	case "LRU-4":
-		return 2
-	case "LRU":
-		return 3
-	default:
-		return -1
+// Label tables of the enumerated DecisionEvent fields, indexed by code.
+var (
+	insertionLabels = []string{"MRU", "MID", "LRU-4", "LRU"}
+	accuracyClasses = []string{"Low", "Medium", "High"}
+)
+
+// labelCode returns label's index in labels, or missing when absent.
+func labelCode(labels []string, label string, missing int) float64 {
+	for i, l := range labels {
+		if l == label {
+			return float64(i)
+		}
 	}
+	return float64(missing)
+}
+
+func boolCode(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Recorder derives one catalog row per FDP interval boundary and appends
@@ -159,6 +202,7 @@ type Recorder struct {
 	truncated uint64
 	prevCycle uint64
 	prevRet   uint64
+	reasons   []string
 }
 
 // Reserve pre-allocates capacity for n intervals so the per-boundary
@@ -230,6 +274,13 @@ func (r *Recorder) TraceDecision(ev sim.DecisionEvent) {
 	if dr > 0 {
 		bpki = 1000 * float64(ev.Raw.DemandMisses+ev.Raw.PrefSent) / float64(dr)
 	}
+	// Controllers draw their reasons from small fixed sets (the tree's
+	// grow with its leaves), so a scan of the table is cheap.
+	reason := labelCode(r.reasons, ev.Reason, -1)
+	if reason < 0 {
+		reason = float64(len(r.reasons))
+		r.reasons = append(r.reasons, ev.Reason)
+	}
 	c := ev.Sample.Cycles
 	row := [...]float64{
 		float64(dc),
@@ -240,7 +291,7 @@ func (r *Recorder) TraceDecision(ev sim.DecisionEvent) {
 		ev.Lateness,
 		ev.Pollution,
 		float64(ev.DCCAfter),
-		float64(insertionIndex(ev.Insertion)),
+		labelCode(insertionLabels, ev.Insertion, -1),
 		ev.BusUtil,
 		c.Share(c.RetireFull),
 		c.Share(c.RetirePartial),
@@ -257,6 +308,33 @@ func (r *Recorder) TraceDecision(ev sim.DecisionEvent) {
 		float64(ev.Raw.PrefLate),
 		float64(ev.Raw.PollutionMisses),
 		float64(ev.Raw.DemandMisses),
+		float64(ev.Decayed.PrefSent),
+		float64(ev.Decayed.PrefUsed),
+		float64(ev.Decayed.PrefLate),
+		float64(ev.Decayed.PollutionMisses),
+		float64(ev.Decayed.DemandMisses),
+		labelCode(accuracyClasses, ev.AccuracyClass, 2), // High otherwise, as core.AccuracyClass prints
+		boolCode(ev.Late),
+		boolCode(ev.Polluting),
+		float64(ev.Case),
+		float64(ev.Update),
+		float64(ev.DCCBefore),
+		float64(ev.Distance),
+		float64(ev.Degree),
+		reason,
+		float64(c.RetireFull),
+		float64(c.RetirePartial),
+		float64(c.StallLoadMiss),
+		float64(c.StallROBFull),
+		float64(c.StallDRAMBP),
+		float64(c.StallIFetch),
+		float64(c.StallFrontend),
+		float64(ev.Sample.BusDemandCycles),
+		float64(ev.Sample.BusPrefetchCycles),
+		float64(ev.Sample.BusWritebackCycles),
+		float64(ev.Sample.RowHits),
+		float64(ev.Sample.RowMisses),
+		ev.Sample.BusUtilization,
 	}
 	for i, v := range row {
 		r.cols[i] = append(r.cols[i], v)
@@ -277,6 +355,8 @@ func (r *Recorder) Series() *Series {
 	meta.Version = formatVersion
 	meta.Intervals = r.n
 	meta.Truncated = r.truncated
+	meta.Core = r.Core
+	meta.Reasons = append([]string(nil), r.reasons...)
 	meta.Metrics = make([]string, NumMetrics)
 	cols := make([][]float64, NumMetrics)
 	for i, m := range Catalog {

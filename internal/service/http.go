@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -34,13 +33,12 @@ type JobRequest struct {
 	Seed             uint64 `json:"seed"`
 	TInterval        uint64 `json:"tinterval"`
 
-	// Trace makes the job collect its FDP decision trace, downloadable at
-	// GET /v1/jobs/{id}/trace once the job is terminal.
-	Trace bool `json:"trace,omitempty"`
-
-	// Series makes the job record its interval timeseries, queryable at
-	// GET /v1/jobs/{id}/series once the job is terminal and diffable
-	// against another run at GET /v1/diff.
+	// Trace and Series each make the job record its interval timeseries:
+	// once the job is terminal it is queryable at GET /v1/jobs/{id}/series,
+	// diffable against another run at GET /v1/diff, and rendered as the
+	// FDP decision trace at GET /v1/jobs/{id}/trace. Both fields stay so
+	// existing clients keep working; they turn on the same recording.
+	Trace  bool `json:"trace,omitempty"`
 	Series bool `json:"series,omitempty"`
 
 	// Tenant attributes the job to a scheduler tenant for fair queueing
@@ -228,10 +226,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var opts []SubmitOption
-	if req.Trace {
-		opts = append(opts, WithDecisionTrace())
-	}
-	if req.Series {
+	if req.Trace || req.Series {
 		opts = append(opts, WithSeriesRecording())
 	}
 	if req.Spec != nil {
@@ -448,9 +443,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleTrace serves a terminal job's FDP decision trace: JSONL by
-// default, or the Chrome trace_event document (loadable in Perfetto /
-// chrome://tracing) with ?format=chrome.
+// handleTrace serves a terminal job's FDP decision trace, rendered from
+// its interval series: JSONL by default, or the Chrome trace_event
+// document (loadable in Perfetto / chrome://tracing) with ?format=chrome.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.Job(r.PathValue("id"))
 	if !ok {
@@ -462,33 +457,34 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			"job %s has not finished; the trace is available once the job is terminal", job.ID())
 		return
 	}
-	jsonl, ok := job.Trace()
-	if !ok {
-		writeError(w, http.StatusNotFound,
-			"job %s has no decision trace; submit with \"trace\": true", job.ID())
+	format := r.URL.Query().Get("format")
+	if format != "" && format != "jsonl" && format != "chrome" {
+		writeError(w, http.StatusBadRequest, "unknown trace format %q (want jsonl or chrome)", format)
 		return
 	}
-	switch format := r.URL.Query().Get("format"); format {
-	case "", "jsonl":
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.Header().Set("Content-Disposition",
-			fmt.Sprintf("attachment; filename=%q", job.ID()+".trace.jsonl"))
-		w.WriteHeader(http.StatusOK)
-		w.Write(jsonl) //nolint:errcheck // the client went away; nothing to do
-	case "chrome":
-		events, err := obs.ReadJSONL(bytes.NewReader(jsonl))
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "stored trace is unreadable: %v", err)
-			return
-		}
+	sr, err := s.jobSeries(job)
+	if err != nil {
+		writeError(w, http.StatusNotFound, "%v", err)
+		return
+	}
+	events, err := sr.Events()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "stored series holds no decision trace: %v", err)
+		return
+	}
+	if format == "chrome" {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Disposition",
 			fmt.Sprintf("attachment; filename=%q", job.ID()+".trace.json"))
 		w.WriteHeader(http.StatusOK)
-		obs.WriteChrome(w, events) //nolint:errcheck // ditto
-	default:
-		writeError(w, http.StatusBadRequest, "unknown trace format %q (want jsonl or chrome)", format)
+		obs.WriteChrome(w, events) //nolint:errcheck // the client went away; nothing to do
+		return
 	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Disposition",
+		fmt.Sprintf("attachment; filename=%q", job.ID()+".trace.jsonl"))
+	w.WriteHeader(http.StatusOK)
+	obs.WriteJSONL(w, events) //nolint:errcheck // ditto
 }
 
 // handleJobSpans serves a job's fabric spans: JSON by default, or the

@@ -61,13 +61,10 @@ type metrics struct {
 	insertMu   sync.Mutex
 	insertions map[string]*[cache.NumInsertPos]uint64
 
-	traces         atomic.Uint64 // jobs that collected a decision trace
-	traceEvents    atomic.Uint64 // decision events captured into job traces
-	traceTruncated atomic.Uint64 // decision events dropped by per-job trace limits
-
 	// Interval-timeseries recording and the run-diff endpoint.
-	seriesPoints atomic.Uint64 // metric points (intervals × catalog width) recorded into sidecars
-	seriesBytes  atomic.Uint64 // encoded sidecar bytes produced
+	seriesPoints   atomic.Uint64 // metric points (intervals × catalog width) recorded into sidecars
+	seriesBytes    atomic.Uint64 // encoded sidecar bytes produced
+	traceTruncated atomic.Uint64 // intervals dropped by the per-job series limit
 	// diffVerdicts counts GET /v1/diff requests by report verdict
 	// ("pass"/"fail", plus "error" for requests that never produced a
 	// report). Writes are per-request, so a mutex over a small map is fine.
@@ -468,9 +465,7 @@ func (m *metrics) render(w io.Writer, queued int, uptime time.Duration, dccLevel
 		}
 	}
 
-	counter("traces_collected_total", "Jobs that collected an FDP decision trace.", m.traces.Load())
-	counter("trace_events_total", "Decision events captured into job traces.", m.traceEvents.Load())
-	counter("trace_events_truncated_total", "Decision events dropped by per-job trace limits.", m.traceTruncated.Load())
+	counter("trace_events_truncated_total", "Intervals dropped by the per-job series limit (the decision trace renders from the series).", m.traceTruncated.Load())
 
 	// Series families keep the sim_* naming like sim_intervals_total: they
 	// count simulation observables, not daemon mechanics.

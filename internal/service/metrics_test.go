@@ -98,7 +98,7 @@ func TestMetricsNewSeries(t *testing.T) {
 		`fdpserved_dcc_level_jobs{controller="fdp",level="2"} 1`,
 		`fdpserved_dcc_level_jobs{controller="fdp",level="5"} 2`,
 		`fdpserved_dcc_level_jobs{controller="tree",level="1"} 1`,
-		"fdpserved_traces_collected_total 0",
+		"fdpserved_trace_events_truncated_total 0",
 		"fdpserved_http_request_duration_seconds_count 1",
 	} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {

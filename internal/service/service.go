@@ -19,7 +19,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -73,14 +72,6 @@ type Config struct {
 	// so misconfigured orderings cannot produce broken scrape output.
 	// Empty means the default sub-millisecond-to-tens-of-seconds ladder.
 	QueueWaitBuckets []float64
-	// TraceLimit caps the number of decision events retained per traced
-	// job; later intervals are counted as truncated instead of growing the
-	// buffer without bound. 0 means 16384 events (~5 MB of JSONL).
-	TraceLimit int
-	// SeriesLimit caps the interval count recorded per series-enabled job;
-	// later boundaries are counted as truncated in the sidecar's Meta.
-	// 0 means 65536 intervals (~13 MB of columns in memory).
-	SeriesLimit int
 
 	// Tenants is the scheduler roster: per-tenant fair-share weights and
 	// quotas. Tenants absent from the roster auto-register at weight 1
@@ -165,17 +156,12 @@ type Job struct {
 	done        chan struct{}
 	doneOnce    sync.Once
 
-	// trace, when non-nil, collects the run's FDP decision events (the
-	// job was submitted with WithDecisionTrace). traceJSONL is the
-	// rendered artifact, set when the job reaches a terminal state (or
-	// immediately on a cache hit whose trace the store still has).
-	trace      *obs.Collector
-	traceJSONL []byte
-
 	// series, when non-nil, records the run's interval timeseries (the
 	// job was submitted with WithSeriesRecording). seriesBin is the
-	// encoded sidecar document, set when the job reaches a terminal state
-	// (or immediately on a cache hit whose sidecar the store still has).
+	// encoded sidecar document — the job's one per-interval artifact, from
+	// which the decision trace also renders — set when the job reaches a
+	// terminal state (or immediately on a cache hit whose sidecar the store
+	// still has).
 	series    *series.Recorder
 	seriesBin []byte
 
@@ -200,19 +186,6 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // writing the job's root span and provenance entry, so a waiter woken by
 // Done sees the job's whole record.
 func (j *Job) signalDone() { j.doneOnce.Do(func() { close(j.done) }) }
-
-// Trace returns the job's rendered JSONL decision trace. ok is false when
-// the job was not submitted with tracing, has not reached a terminal
-// state yet, or completed as a cache hit whose trace the store no longer
-// has.
-func (j *Job) Trace() (jsonl []byte, ok bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.traceJSONL == nil {
-		return nil, false
-	}
-	return j.traceJSONL, true
-}
 
 // SeriesData returns the job's encoded interval-timeseries sidecar
 // (internal/series binary document). ok is false when the job was not
@@ -244,11 +217,10 @@ type JobStatus struct {
 	FinishedAt  *time.Time  `json:"finished_at,omitempty"`
 	Error       string      `json:"error,omitempty"`
 	Result      *sim.Result `json:"result,omitempty"`
-	// Trace reports that a decision-trace artifact is downloadable at
-	// GET /v1/jobs/{id}/trace.
-	Trace bool `json:"trace,omitempty"`
-	// Series reports that an interval-timeseries artifact is queryable at
-	// GET /v1/jobs/{id}/series.
+	// Trace and Series both report the job's interval-timeseries
+	// artifact: queryable at GET /v1/jobs/{id}/series, and rendered as
+	// the decision trace at GET /v1/jobs/{id}/trace.
+	Trace  bool `json:"trace,omitempty"`
 	Series bool `json:"series,omitempty"`
 }
 
@@ -269,7 +241,7 @@ func (j *Job) Status() JobStatus {
 		SubmittedAt: j.submittedAt,
 		Error:       j.errMsg,
 		Result:      j.result,
-		Trace:       j.traceJSONL != nil,
+		Trace:       j.seriesBin != nil,
 		Series:      j.seriesBin != nil,
 	}
 	if !j.startedAt.IsZero() {
@@ -355,11 +327,9 @@ type Server struct {
 	spans *obs.SpanBuffer
 }
 
-// defaultTraceLimit bounds a traced job's in-memory event buffer.
-const defaultTraceLimit = 16384
-
-// defaultSeriesLimit bounds a series-enabled job's recorded intervals.
-const defaultSeriesLimit = 65536
+// maxIntervals bounds a job's recorded intervals (~27 MB of columns in
+// memory); later boundaries are counted as truncated in the sidecar's Meta.
+const maxIntervals = 65536
 
 // New builds a Server and starts its worker pool.
 func New(cfg Config) *Server {
@@ -368,12 +338,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
-	}
-	if cfg.TraceLimit <= 0 {
-		cfg.TraceLimit = defaultTraceLimit
-	}
-	if cfg.SeriesLimit <= 0 {
-		cfg.SeriesLimit = defaultSeriesLimit
 	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 30 * time.Second
@@ -470,7 +434,6 @@ func (s *Server) storeResult(fp string, res sim.Result) {
 type SubmitOption func(*submitOptions)
 
 type submitOptions struct {
-	trace      bool
 	series     bool
 	spec       *spec.Spec
 	specSet    bool // WithWorkloadSpec given, even with a nil spec (rejected)
@@ -481,19 +444,11 @@ type submitOptions struct {
 	parentSpan string
 }
 
-// WithDecisionTrace makes the job collect its FDP decision trace (one
-// event per sampling interval, bounded by Config.TraceLimit), downloadable
-// at GET /v1/jobs/{id}/trace once the job is terminal. Cache hits reuse
-// the persisted trace when the store still has one.
-func WithDecisionTrace() SubmitOption {
-	return func(o *submitOptions) { o.trace = true }
-}
-
 // WithSeriesRecording makes the job record its interval timeseries (one
-// catalog row per FDP sampling interval, bounded by Config.SeriesLimit),
-// queryable at GET /v1/jobs/{id}/series and diffable at GET /v1/diff once
-// the job is terminal. Cache hits reuse the persisted sidecar when the
-// store still has one.
+// catalog row per FDP sampling interval, at most 65536), queryable at
+// GET /v1/jobs/{id}/series, diffable at GET /v1/diff and rendered as the
+// decision trace at GET /v1/jobs/{id}/trace once the job is terminal.
+// Cache hits reuse the persisted sidecar when the store still has one.
 func WithSeriesRecording() SubmitOption {
 	return func(o *submitOptions) { o.series = true }
 }
@@ -598,32 +553,24 @@ func (s *Server) Submit(cfg sim.Config, opts ...SubmitOption) (*Job, error) {
 		subs:        make(map[int]chan sim.Snapshot),
 		done:        make(chan struct{}),
 	}
-	if o.trace {
-		job.trace = &obs.Collector{Limit: s.cfg.TraceLimit}
-	}
 	if o.series {
-		job.series = &series.Recorder{Limit: s.cfg.SeriesLimit}
+		job.series = &series.Recorder{Limit: maxIntervals}
 	}
 	s.jobs[job.id] = job
 	s.mu.Unlock()
 	s.m.submitted.Add(1)
 	s.log.Info("job submitted", "job", job.id, "fingerprint", shortFP(fp),
-		"workload", cfg.Workload, "prefetcher", cfg.Prefetcher, "trace", o.trace, "series", o.series)
+		"workload", cfg.Workload, "prefetcher", cfg.Prefetcher, "series", o.series)
 
 	if res, ok := s.cacheLookup(fp); ok {
 		s.m.cacheHits.Add(1)
 		s.m.completed.Add(1)
-		var trace []byte
-		if o.trace && s.cfg.Store != nil {
-			trace, _ = s.cfg.Store.GetTrace(fp)
-		}
 		var seriesBin []byte
 		if o.series && s.cfg.Store != nil {
 			seriesBin, _ = s.cfg.Store.GetSeries(fp)
 		}
 		job.mu.Lock()
 		job.cacheHit = true
-		job.traceJSONL = trace
 		job.seriesBin = seriesBin
 		job.finishLocked(StateDone, &res, "")
 		submitted, finished := job.submittedAt, job.finishedAt
@@ -633,7 +580,7 @@ func (s *Server) Submit(cfg sim.Config, opts ...SubmitOption) (*Job, error) {
 			Attrs: map[string]string{"outcome": "cache_hit", "tenant": job.tenant}})
 		s.writeProvenance(job, store.OutcomeCacheHit, "", -1, false, 0, 0, 0)
 		job.signalDone()
-		s.log.Info("job done", "job", job.id, "cache_hit", true, "trace", trace != nil)
+		s.log.Info("job done", "job", job.id, "cache_hit", true, "series", seriesBin != nil)
 		return job, nil
 	}
 	s.m.cacheMisses.Add(1)
@@ -837,17 +784,9 @@ func (s *Server) runJob(job *Job) {
 			}
 		}
 	}
-	// The tracer fans out to whichever synchronous sinks the submission
-	// asked for (decision-trace collector, series recorder); obs.Tee
-	// collapses the common zero- and one-sink cases to no wrapper at all.
-	var sinks []sim.Tracer
-	if job.trace != nil {
-		sinks = append(sinks, job.trace)
-	}
 	if job.series != nil {
-		sinks = append(sinks, job.series)
+		cfg.Tracer = job.series
 	}
-	cfg.Tracer = obs.Tee(sinks...)
 	s.m.executions.Add(1)
 	runStart := time.Now()
 	var res sim.Result
@@ -870,39 +809,17 @@ func (s *Server) runJob(job *Job) {
 			"workload":  cfg.Workload,
 			"intervals": strconv.FormatUint(res.Intervals, 10),
 		}}
-	if job.trace != nil {
+	if job.series != nil {
 		// Link the fabric span to the in-run DecisionEvent stream it wraps.
-		runSpan.Attrs["decision_events"] = strconv.Itoa(len(job.trace.Events()))
+		runSpan.Attrs["decision_events"] = strconv.Itoa(job.series.Len())
 	}
 	s.addSpan(job, runSpan)
 
-	// Render the decision trace before finishing so Trace() and the HTTP
-	// trace endpoint see a complete artifact the moment Done() closes.
-	// Cancelled runs keep their partial trace (it matches the partial
-	// result) but only full runs are persisted, mirroring store.Put.
-	var traceJSONL []byte
-	if job.trace != nil {
-		events := job.trace.Events()
-		var buf bytes.Buffer
-		if werr := obs.WriteJSONL(&buf, events); werr == nil {
-			traceJSONL = buf.Bytes()
-		}
-		s.m.traces.Add(1)
-		s.m.traceEvents.Add(uint64(len(events)))
-		s.m.traceTruncated.Add(job.trace.Truncated())
-		if truncated := job.trace.Truncated(); truncated > 0 {
-			s.log.Warn("decision trace truncated", "job", job.id,
-				"kept", len(events), "truncated", truncated)
-		}
-		if traceJSONL != nil && err == nil && s.cfg.Store != nil {
-			// Best-effort, like storeResult: losing it costs a future
-			// cache-hit trace, not this job.
-			_ = s.cfg.Store.PutTrace(job.fp, traceJSONL)
-		}
-	}
-
-	// Encode the interval-timeseries sidecar under the same contract:
-	// available the moment Done() closes, persisted only for full runs.
+	// Encode the interval-timeseries sidecar before finishing so the
+	// series and trace endpoints see a complete artifact the moment Done()
+	// closes. Cancelled runs keep their partial series (it matches the
+	// partial result) but only full runs are persisted, mirroring
+	// store.Put; losing the write costs a future cache hit, not this job.
 	var seriesBin []byte
 	if job.series != nil {
 		sr := job.series.Series()
@@ -916,6 +833,7 @@ func (s *Server) runJob(job *Job) {
 				_ = s.cfg.Store.PutSeries(job.fp, doc)
 			}
 		}
+		s.m.traceTruncated.Add(job.series.Truncated())
 		if truncated := job.series.Truncated(); truncated > 0 {
 			s.log.Warn("interval series truncated", "job", job.id,
 				"kept", job.series.Len(), "truncated", truncated)
@@ -933,7 +851,6 @@ func (s *Server) runJob(job *Job) {
 			Start: storeStart, End: storeStart.Add(storeDur)})
 	}
 	job.mu.Lock()
-	job.traceJSONL = traceJSONL
 	job.seriesBin = seriesBin
 	switch {
 	case err == nil:

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"fdpsim/internal/obs"
+	"fdpsim/internal/sim"
 	"fdpsim/internal/store"
 )
 
@@ -121,7 +122,8 @@ func TestTraceEndpoint(t *testing.T) {
 
 // TestTraceCacheHit checks the persisted-trace path: with a store, a
 // second identical traced submission is a cache hit that still serves the
-// first run's trace.
+// first run's trace, and both bodies — rendered from the series sidecar —
+// are exactly the JSONL a tracer on the same run writes.
 func TestTraceCacheHit(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -139,6 +141,19 @@ func TestTraceCacheHit(t *testing.T) {
 		t.Fatalf("first run finished %s (%s)", final.State, final.Error)
 	}
 	_, want, _ := getBody(t, ts.URL+"/v1/jobs/"+first.ID+"/trace")
+	var direct bytes.Buffer
+	j := obs.NewJSONL(&direct)
+	directCfg := cfg
+	directCfg.Tracer = j
+	if _, err := sim.Run(directCfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if direct.Len() == 0 || !bytes.Equal(want, direct.Bytes()) {
+		t.Fatalf("served trace (%d bytes) differs from the direct JSONL (%d bytes)", len(want), direct.Len())
+	}
 
 	var second JobStatus
 	code := doJSON(t, ts.Client(), http.MethodPost, ts.URL+"/v1/jobs",
@@ -153,7 +168,7 @@ func TestTraceCacheHit(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("cache-hit trace = %d", code)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("cache-hit trace differs from the original run's trace")
+	if !bytes.Equal(got, direct.Bytes()) {
+		t.Fatal("cache-hit trace differs from the direct JSONL")
 	}
 }

@@ -10,12 +10,14 @@ import (
 )
 
 // Interval-timeseries sidecars (internal/series binary documents) are
-// stored next to their Result under <dir>/<fp[:2]>/<fp>.series.bin,
-// following the trace sidecar's contract: an optional artifact, never
-// served without verifying, discarded on damage. Unlike traces, the
-// document is self-checking (magic, per-frame CRC-32, footer), so no
-// extra header wraps it — the file is the series.Encode output verbatim
-// and GetSeries bytes stream straight out of an HTTP handler.
+// stored next to their Result under <dir>/<fp[:2]>/<fp>.series.bin: the
+// one per-interval artifact of a run, from which the decision trace also
+// renders. A sidecar is optional, never served without verifying, and
+// discarded on damage. The document is self-checking (magic, per-frame
+// CRC-32, footer), so no extra header wraps it — the file is the
+// series.Encode output verbatim and GetSeries bytes stream straight out
+// of an HTTP handler. The ".series.bin" extension keeps Len, which counts
+// ".json" entries, honest about how many Results the store holds.
 
 func (s *Store) seriesPath(fp string) string {
 	return filepath.Join(s.dir, fp[:2], fp+".series.bin")
@@ -36,7 +38,7 @@ func (s *Store) PutSeries(fp string, doc []byte) error {
 
 // GetSeries returns the stored series document for a fingerprint. A
 // missing, torn, or CRC-failed sidecar is a miss; corrupt files are
-// unlinked like corrupt Results and traces. A document from a future
+// unlinked like corrupt Results. A document from another
 // format version is a miss without the unlink (stale reader, not
 // damage — a newer build can still serve it).
 func (s *Store) GetSeries(fp string) ([]byte, bool) {

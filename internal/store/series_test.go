@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"testing"
@@ -18,7 +19,12 @@ func futureVersionDoc(t *testing.T, doc []byte) []byte {
 	body := doc[magicLen:]
 	size, n := binary.Uvarint(body)
 	payload := append([]byte(nil), body[n+4:n+4+int(size)]...)
-	patched := bytes.Replace(payload, []byte(`"version":1`), []byte(`"version":9`), 1)
+	s, err := series.Decode(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	current := []byte(fmt.Sprintf(`"version":%d`, s.Meta.Version))
+	patched := bytes.Replace(payload, current, []byte(`"version":9`), 1)
 	if bytes.Equal(patched, payload) {
 		t.Fatal("version field not found in meta payload")
 	}
@@ -28,9 +34,19 @@ func futureVersionDoc(t *testing.T, doc []byte) []byte {
 	return append(out, body[n+4+int(size):]...)
 }
 
+func seriesStore(t *testing.T) *Store {
+	t.Helper()
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 const seriesFP = "fe98dc76ba54fe98dc76ba54fe98dc76ba54fe98dc76ba54fe98dc76ba54fe98"
 
-// encodedSeries builds a small valid series document.
+// encodedSeries builds a small valid series document. Enumerated columns
+// (label codes Decode range-checks) stay 0; every other value differs.
 func encodedSeries(t *testing.T, n int) []byte {
 	t.Helper()
 	rec := &series.Recorder{}
@@ -44,10 +60,14 @@ func encodedSeries(t *testing.T, n int) []byte {
 	s := rec.Series()
 	s.Meta.Intervals = n
 	s.Meta.Workload = "chaserand"
-	for i := range s.Columns {
+	s.Meta.Reasons = []string{"fixture"}
+	enumerated := map[string]bool{"insertion_pos": true, "accuracy_class": true, "late": true, "polluting": true, "reason": true}
+	for i, name := range s.Meta.Metrics {
 		col := make([]float64, n)
 		for j := range col {
-			col[j] = float64(i*n + j)
+			if !enumerated[name] {
+				col[j] = float64(i*n + j)
+			}
 		}
 		s.Columns[i] = col
 	}
@@ -59,7 +79,7 @@ func encodedSeries(t *testing.T, n int) []byte {
 }
 
 func TestSeriesRoundTrip(t *testing.T) {
-	s := traceStore(t)
+	s := seriesStore(t)
 	doc := encodedSeries(t, 8)
 	if err := s.PutSeries(seriesFP, doc); err != nil {
 		t.Fatal(err)
@@ -80,7 +100,7 @@ func TestSeriesRoundTrip(t *testing.T) {
 }
 
 func TestSeriesMissAndInvalidKeys(t *testing.T) {
-	s := traceStore(t)
+	s := seriesStore(t)
 	if _, ok := s.GetSeries(seriesFP); ok {
 		t.Fatal("hit on an empty store")
 	}
@@ -96,9 +116,9 @@ func TestSeriesMissAndInvalidKeys(t *testing.T) {
 }
 
 // TestSeriesTruncationDiscarded tears the sidecar at several points: each
-// torn file must miss and be unlinked (the trace sidecar contract).
+// torn file must miss and be unlinked (the Result corruption contract).
 func TestSeriesTruncationDiscarded(t *testing.T) {
-	s := traceStore(t)
+	s := seriesStore(t)
 	doc := encodedSeries(t, 16)
 	for _, cut := range []int{0, 4, len(doc) / 2, len(doc) - 1} {
 		if err := s.PutSeries(seriesFP, doc); err != nil {
@@ -121,7 +141,7 @@ func TestSeriesTruncationDiscarded(t *testing.T) {
 // that breaks decoding must miss and unlink. (A flip inside the JSON meta
 // frame is caught by that frame's CRC, payload flips by theirs.)
 func TestSeriesBitFlipsDiscarded(t *testing.T) {
-	s := traceStore(t)
+	s := seriesStore(t)
 	doc := encodedSeries(t, 16)
 	for i := 0; i < len(doc); i += 7 {
 		if err := s.PutSeries(seriesFP, doc); err != nil {
@@ -150,7 +170,7 @@ func TestSeriesBitFlipsDiscarded(t *testing.T) {
 // TestSeriesVersionSkewLeavesFile: a future-version document is a miss
 // but stays on disk for newer readers — damage is unlinked, skew is not.
 func TestSeriesVersionSkewLeavesFile(t *testing.T) {
-	s := traceStore(t)
+	s := seriesStore(t)
 	if err := s.PutSeries(seriesFP, encodedSeries(t, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -171,9 +191,9 @@ func TestSeriesVersionSkewLeavesFile(t *testing.T) {
 	}
 }
 
-// TestSeriesNotCountedByLen pins the extension choice, like traces.
+// TestSeriesNotCountedByLen pins the extension choice.
 func TestSeriesNotCountedByLen(t *testing.T) {
-	s := traceStore(t)
+	s := seriesStore(t)
 	if err := s.PutSeries(seriesFP, encodedSeries(t, 1)); err != nil {
 		t.Fatal(err)
 	}

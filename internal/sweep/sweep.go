@@ -221,10 +221,9 @@ func (r *Request) Expand() ([]Unit, error) {
 		seeds = []uint64{1}
 	}
 
-	rows := len(r.Workloads) + len(r.Specs)
-	total := rows * len(r.Configs) * len(seeds)
-	if total > MaxJobs {
-		return nil, fmt.Errorf("%w: grid expands to %d jobs, above the %d-job bound", ErrInvalid, total, MaxJobs)
+	total, err := gridSize(len(r.Workloads)+len(r.Specs), len(r.Configs), len(seeds))
+	if err != nil {
+		return nil, err
 	}
 
 	type column struct {
@@ -301,6 +300,23 @@ func (r *Request) Expand() ([]Unit, error) {
 		}
 	}
 	return units, nil
+}
+
+// gridSize returns rows × configs × seeds, or an error wrapping ErrInvalid
+// when the grid exceeds MaxJobs. All three lengths come from a request
+// body, so each factor is bounded before it is multiplied: the unchecked
+// product of lengths around 2^22, 2^21 and 2^21 wraps to 0 and would pass
+// a check made after the fact.
+func gridSize(rows, configs, seeds int) (int, error) {
+	total := 1
+	for _, n := range [...]int{rows, configs, seeds} {
+		if n > MaxJobs || total*n > MaxJobs {
+			return 0, fmt.Errorf("%w: grid of %d rows × %d configs × %d seeds is above the %d-job bound",
+				ErrInvalid, rows, configs, seeds, MaxJobs)
+		}
+		total *= n
+	}
+	return total, nil
 }
 
 // Fingerprint returns the unit's deduplication key: the domain-separated

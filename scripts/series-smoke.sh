@@ -5,10 +5,13 @@
 # waits for it to finish, then validates the timeseries surface:
 #   1. GET /v1/jobs/{id}/series returns the full catalog, one value per
 #      closed interval, and honours metric selection + downsampling,
-#   2. the sidecar landed in the store (<fp>.series.bin),
-#   3. a self-diff of the fingerprint (GET /v1/diff?a=fp&b=fp) passes
+#   2. GET /v1/jobs/{id}/trace renders the decision trace from that
+#      series: one JSONL line per recorded interval, with only "series"
+#      set on the submission,
+#   3. the sidecar landed in the store (<fp>.series.bin),
+#   4. a self-diff of the fingerprint (GET /v1/diff?a=fp&b=fp) passes
 #      with zero residual on every metric,
-#   4. /metrics carries the series and diff families.
+#   5. /metrics carries the series and diff families.
 #
 # No dependencies beyond a POSIX shell and curl; JSON checks fall back
 # from python3 to grep so the script runs in minimal CI images.
@@ -96,11 +99,22 @@ curl -fsS "http://$ADDR/v1/jobs/$JOB/series?metrics=ipc,bpki&step=8" >/dev/null 
 curl -fsS "http://$ADDR/v1/jobs/$JOB/series?format=csv" >"$WORK/series.csv"
 head -1 "$WORK/series.csv" | grep -q '^interval,' || die "CSV export has no header row"
 
-# 2. The sidecar is on disk next to the result.
+# 2. The decision trace renders from the series: one JSONL line per
+# recorded interval.
+curl -fsS "http://$ADDR/v1/jobs/$JOB/trace" >"$WORK/trace.jsonl" \
+    || die "trace of a series-recorded job failed"
+LINES=$(wc -l <"$WORK/trace.jsonl" | tr -d ' ')
+INTERVALS=$(sed -n 's/.*"intervals": *\([0-9]*\).*/\1/p' "$WORK/series.json" | head -1)
+[ -n "$INTERVALS" ] || die "no meta.intervals in the series response"
+[ "$LINES" -eq "$INTERVALS" ] && [ "$LINES" -gt 0 ] \
+    || die "trace has $LINES lines for $INTERVALS intervals"
+echo "series-smoke: trace renders $LINES intervals from the series"
+
+# 3. The sidecar is on disk next to the result.
 [ -f "$WORK/store/$(echo "$FP" | cut -c1-2)/$FP.series.bin" ] \
     || die "no $FP.series.bin sidecar in the store"
 
-# 3. Self-diff: zero residual, pass verdict on every metric.
+# 4. Self-diff: zero residual, pass verdict on every metric.
 curl -fsS "http://$ADDR/v1/diff?a=$FP&b=$FP" >"$WORK/diff.json"
 if command -v python3 >/dev/null 2>&1; then
     python3 - "$WORK/diff.json" <<'EOF'
@@ -116,7 +130,7 @@ else
     grep -q '"verdict": *"pass"' "$WORK/diff.json" || die "self-diff did not pass"
 fi
 
-# 4. Metrics: series volume + diff verdict families present.
+# 5. Metrics: series volume + diff verdict families present.
 curl -fsS "http://$ADDR/metrics" >"$WORK/metrics"
 for family in sim_series_points_total sim_series_bytes_total fdpserved_diff_requests_total; do
     grep -q "$family" "$WORK/metrics" || die "/metrics missing $family"
